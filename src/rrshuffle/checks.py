@@ -137,7 +137,12 @@ def suite_oracle(max_n: int = 8) -> list[CheckResult]:
     report = Report()
     for n, k in _oracle_grid(max_n):
         truth_s = oracle_posterior(n, k, ["shuffle"])
-        forms = {"partition sum": cf.v_post_shuffle_general(n, k, exact=True)}
+        forms = {
+            "bounded-load recursion": cf.v_post_shuffle_general(n, k, exact=True),
+            "partition sum": cf.v_post_shuffle_general(
+                n, k, method="partition", exact=True
+            ),
+        }
         if k == 2:
             forms["binary sum"] = cf.v_post_shuffle_binary_sum(n)
             forms["binary fast form"] = cf.v_post_shuffle_binary_fast(n)
@@ -171,7 +176,8 @@ def suite_oracle(max_n: int = 8) -> list[CheckResult]:
 
 
 def suite_max_load(max_n: int = 12) -> list[CheckResult]:
-    """Partition-sum identities for the scaled maximum load."""
+    """Partition-sum identities for the scaled maximum load, and their
+    agreement with the bounded-load recursion."""
     report = Report()
     count = sum(1 for _ in partitions(6, 3))
     report.record("partitions(6, 3) yields exactly 7 partitions", count == 7,
@@ -194,7 +200,9 @@ def suite_max_load(max_n: int = 12) -> list[CheckResult]:
             composition = cf.v_post_shuffle_general(
                 n, k, method="composition", exact=True
             )
-            partition = cf.v_post_shuffle_general(n, k, exact=True)
+            partition = cf.v_post_shuffle_general(
+                n, k, method="partition", exact=True
+            )
             report.record(
                 "partition sum equals composition sum (n=%d, k=%d)" % (n, k),
                 composition == partition,

@@ -42,11 +42,9 @@ PIPELINES = {"krr": ["krr"], "shuffle": ["shuffle"], "krr-shuffle": ["krr", "shu
 
 
 def _common_flags(sub: argparse.ArgumentParser):
-    mode = sub.add_mutually_exclusive_group()
-    mode.add_argument("--exact", action="store_true",
-                      help="exact rational arithmetic (fractions in output)")
-    mode.add_argument("--float", dest="float_mode", action="store_true",
-                      help="binary64 arithmetic (default)")
+    sub.add_argument("--exact", action="store_true",
+                     help="exact rational arithmetic (fractions in output); "
+                          "binary64 otherwise")
     sub.add_argument("--cap", type=int, default=DEFAULT_CAP,
                      help="bound on k**n for full-channel construction")
     sub.add_argument("--out", help="write output to this path instead of stdout")

@@ -2,9 +2,11 @@
 
 Everything here targets the single-target adversary with a uniform prior
 over datasets.  The binary formulas are closed-form and cheap at any n.
-For general k the sums run over integer partitions (one term per
-partition instead of one per labeled histogram), exactly for moderate n
-and in log-space binary64 for large sweeps.
+For general k the shuffle vulnerability is the expected maximum bin load,
+evaluated by one bounded-load recursion over bin sizes in polynomial
+time: exact integers for moderate n, Poisson-weighted binary64 for large
+sweeps.  The partition and composition sums it replaces stay as
+references for the check suites.
 """
 
 from __future__ import annotations
@@ -116,7 +118,7 @@ def v_post_ns_binary_fast(n: int, p: Scalar) -> Scalar:
 
 
 # ---------------------------------------------------------------------------
-# General alphabet via integer partitions
+# General alphabet
 # ---------------------------------------------------------------------------
 
 
@@ -149,20 +151,105 @@ def _pick_exact(n: int, exact: Optional[bool], p: Scalar = Fraction(1)) -> bool:
     return n <= EXACT_N_DEFAULT and is_exact(p)
 
 
+def _max_load_tails(n: int, k: int, exact: bool) -> list[Scalar]:
+    """k^n - A_m (exact integers) or 1 - A_m / k^n (floats) for
+    m = 0, ..., n - 1, where A_m counts the maps of n labelled records into
+    k labelled bins that put no more than m records in any bin.
+
+    One pass over bin sizes v = m + 1.  Row u of the table holds, for each
+    r <= n, W[u][r]: the ways to put r labelled records into an ordered row
+    of u non-empty bins, none above the current size bound.  Admitting
+    bins of size v adds, for each count c of them among the u bins,
+    W[u - c][r - cv] * r! / ((r - cv)! v!^c) * C(u, c); rows are updated in
+    place with u descending, so each update reads rows still bounded by
+    v - 1.  Then A_m = sum_u C(k, u) W[u][n].
+
+    The float mode runs the same recursion on Poisson(n/k) weights
+    (Poissonization): row u holds P(u Poisson bins, each non-empty and
+    within the bound, sum to r), so every entry is a probability and
+    nothing overflows, and A_m / k^n = sum_u C(k, u) e^{-(k-u) n/k}
+    w[u][n] / P(Po(n) = n).  Every term is non-negative, so the recursion
+    cancels nothing; rounding cancels only in the final 1 - A_m / k^n.
+    """
+    u_max = min(k, n)
+    if exact:
+        rows: list[list] = [[0] * (n + 1) for _ in range(u_max + 1)]
+        rows[0][0] = 1
+        full = k**n
+        choose_k = [math.comb(k, u) for u in range(u_max + 1)]
+    else:
+        rows = [[0.0] * (n + 1) for _ in range(u_max + 1)]
+        rows[0][0] = 1.0
+        lam = n / k
+        log_lam = math.log(lam)
+        log_norm = -n + n * math.log(n) - math.lgamma(n + 1)  # ln P(Po(n) = n)
+        full = 1.0
+        choose_k = [  # in log space: C(k, u) can exceed the float range
+            math.exp(math.log(math.comb(k, u)) - (k - u) * lam - log_norm)
+            for u in range(u_max + 1)
+        ]
+    tails = [full]  # m = 0: every map has a non-empty bin
+    for v in range(1, n):
+        c_max = min(u_max, n // v)
+        if exact:
+            # r! / ((r - cv)! v!^c) by r - cv, for each count c of size-v bins
+            spread = [None]
+            ways = 1  # (cv)! / v!^c
+            for c in range(1, c_max + 1):
+                ways *= math.comb(c * v, v)
+                top = min((u_max - c) * (v - 1), n - c * v) + c * v
+                spread.append(
+                    [ways * math.comb(r, c * v) for r in range(c * v, top + 1)]
+                )
+        else:
+            weight = math.exp(-lam + v * log_lam - math.lgamma(v + 1))
+        for u in range(u_max, 0, -1):
+            row = rows[u]
+            for c in range(1, min(u, c_max) + 1):
+                lo = u - c  # the source row's non-empty bins
+                hi = min(lo * (v - 1), n - c * v)
+                if hi < lo:
+                    continue
+                src = rows[lo][lo:hi + 1]
+                start, stop = lo + c * v, hi + c * v + 1
+                if exact:
+                    coef = math.comb(u, c)
+                    factors = spread[c][lo:hi + 1]
+                    row[start:stop] = [
+                        a + b * f * coef
+                        for a, b, f in zip(row[start:stop], src, factors)
+                    ]
+                else:
+                    coef = math.comb(u, c) * weight**c
+                    if coef == 0.0:
+                        break  # underflow: so are the higher powers
+                    row[start:stop] = [
+                        a + coef * b for a, b in zip(row[start:stop], src)
+                    ]
+        bounded = (choose_k[u] * rows[u][n] for u in range(1, u_max + 1))
+        tails.append(full - sum(bounded) if exact else 1.0 - math.fsum(bounded))
+    return tails
+
+
 def v_post_shuffle_general(
     n: int,
     k: int,
-    method: Literal["partition", "composition"] = "partition",
+    method: Literal["bounded-load", "partition", "composition"] = "bounded-load",
     exact: Optional[bool] = None,
 ) -> Scalar:
     """Shuffle alone for any alphabet size.
 
     The underlying sum runs over all histograms, weighting each by its
-    multinomial count and scoring the adversary's best guess max_j n_j / n.
-    The default groups histograms by their partition shape, collapsing
-    the labeled-histogram blow-up to one term per partition; the
-    composition method evaluates the ungrouped sum and is kept as a slow
-    reference.  Exact by default up to n = 64, log-space binary64 above.
+    multinomial count and scoring the adversary's best guess max_j n_j / n,
+    so k^n n V is the summed maximum bin load of the k^n maps of records
+    to values.  The default evaluates that as
+    sum_{m<n} (k^n - A_m), A_m counting the maps with no bin above m, by
+    one bounded-load recursion over bin sizes (:func:`_max_load_tails`):
+    about n^2 min(k, n) (1 + ln k) operations, exact integers or
+    Poisson-weighted binary64.  The partition method groups histograms by
+    their partition shape, one term per partition (~n^(k-1) of them), and
+    the composition method evaluates the ungrouped sum; both are kept as
+    slow references.  Exact by default up to n = 64, binary64 above.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -170,34 +257,23 @@ def v_post_shuffle_general(
         raise ValueError("k must be at least 2")
     use_exact = _pick_exact(n, exact)
 
+    if method == "bounded-load":
+        tails = _max_load_tails(n, k, use_exact)
+        if use_exact:
+            return Fraction(sum(tails), k**n * n)
+        return math.fsum(tails) / n
     if method == "composition":
         total = sum(
             multinomial(n, comp) * max(comp) for comp in _compositions(n, k)
         )
-        result = Fraction(total, k**n * n)
-        return result if use_exact else float(result)
-    if method != "partition":
-        raise ValueError("method must be 'partition' or 'composition'")
-
-    if use_exact:
-        total = sum(
-            _partition_coefficient(n, k, lam) * lam.max_part
-            for lam in partitions(n, k)
+    elif method == "partition":
+        total = scaled_max_load_via_multinomials(n, k)
+    else:
+        raise ValueError(
+            "method must be 'bounded-load', 'partition' or 'composition'"
         )
-        return Fraction(total, k**n * n)
-
-    log_norm = n * math.log(k) + math.log(n)
-    acc = 0.0
-    comp = 0.0  # Kahan compensation
-    for lam in partitions(n, k):
-        term = math.exp(
-            _log_partition_coefficient(n, k, lam) + math.log(lam.max_part) - log_norm
-        )
-        y = term - comp
-        t = acc + y
-        comp = (t - acc) - y
-        acc = t
-    return acc
+    result = Fraction(total, k**n * n)
+    return result if use_exact else float(result)
 
 
 def v_post_ns_general(
@@ -239,17 +315,11 @@ def v_post_ns_general(
 
     p = float(p)
     log_norm = n * math.log(k) + math.log(n)
-    acc = 0.0
-    comp = 0.0
-    for lam in partitions(n, k):
-        coeff = math.exp(_log_partition_coefficient(n, k, lam) - log_norm)
-        score = lam.max_part * p + (n - lam.max_part) * (1 - p) / (k - 1)
-        term = coeff * score
-        y = term - comp
-        t = acc + y
-        comp = (t - acc) - y
-        acc = t
-    return acc
+    return math.fsum(
+        math.exp(_log_partition_coefficient(n, k, lam) - log_norm)
+        * (lam.max_part * p + (n - lam.max_part) * (1 - p) / (k - 1))
+        for lam in partitions(n, k)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +414,8 @@ def posterior_for(
     """Posterior single-target vulnerability of a mechanism spec.
 
     method 'closed' uses the fast forms (binary single-binomial,
-    partition sum, linear relation); 'sum' the direct summation forms;
-    'approx' the asymptotic estimate with f = 1.
+    bounded-load recursion, linear relation); 'sum' the direct summation
+    forms; 'approx' the asymptotic estimate with f = 1.
     """
     n, k, p = spec.n, spec.k, spec.p
     if spec.kind == "krr":
@@ -363,7 +433,7 @@ def posterior_for(
             )
             return result if _pick_exact(n, exact) else float(result)
         return v_post_shuffle_general(
-            n, k, method="partition" if method == "closed" else "composition",
+            n, k, method="bounded-load" if method == "closed" else "composition",
             exact=exact,
         )
     # noise then shuffle

@@ -164,12 +164,18 @@ def krr_histogram_transition(
 
 def epsilon_to_p(epsilon: float, k: int) -> float:
     """Truthful-report probability of k-ary randomized response at a
-    given privacy parameter: p = e^eps / (k - 1 + e^eps)."""
+    given privacy parameter: p = e^eps / (k - 1 + e^eps).  Raises
+    ``ValueError`` when e^eps overflows binary64."""
     if epsilon < 0:
         raise ValueError("epsilon must be non-negative")
     if k < 2:
         raise ValueError("k must be at least 2")
-    e = math.exp(epsilon)
+    try:
+        e = math.exp(epsilon)
+    except OverflowError:
+        raise ValueError(
+            "epsilon %r is too large: e^epsilon overflows" % (epsilon,)
+        ) from None
     return e / (k - 1 + e)
 
 

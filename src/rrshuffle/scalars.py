@@ -54,10 +54,14 @@ def parse_scalar(text: str, exact: bool) -> Scalar:
     """Parse a probability from CLI text.
 
     Accepts decimals ("0.75") and ratios ("3/4").  In exact mode the
-    decimal is read as the exact rational it denotes.
+    decimal is read as the exact rational it denotes.  A zero
+    denominator raises ``ValueError``.
     """
-    if exact:
-        return Fraction(text)
-    if "/" in text:
-        return float(Fraction(text))
-    return float(text)
+    try:
+        if exact:
+            return Fraction(text)
+        if "/" in text:
+            return float(Fraction(text))
+        return float(text)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % (text,)) from None

@@ -72,6 +72,22 @@ def test_vuln_rejects_bad_p(capsys):
     assert "must lie in" in err
 
 
+def test_vuln_rejects_zero_denominator_p(capsys):
+    code, out, err = run(capsys, "vuln", "--mech", "krr-shuffle", "--n", "5",
+                         "--k", "3", "--p", "1/0")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_vuln_rejects_overflowing_epsilon(capsys):
+    code, out, err = run(capsys, "vuln", "--mech", "krr-shuffle", "--n", "5",
+                         "--k", "3", "--epsilon", "1000")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_vuln_oracle_bound_exit_code(capsys):
     code, _, err = run(capsys, "vuln", "--mech", "shuffle", "--n", "12",
                        "--k", "2", "--method", "oracle")

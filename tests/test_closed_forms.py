@@ -21,6 +21,7 @@ from rrshuffle.closed_forms import (
     v_post_shuffle_binary_sum,
     v_post_shuffle_general,
 )
+from rrshuffle.scalars import FLOAT_TOL
 
 P_GRID = [Fraction(1, 2), Fraction(3, 5), Fraction(3, 4), Fraction(9, 10), Fraction(1)]
 
@@ -133,6 +134,41 @@ def test_general_float_close_to_exact():
         assert v_post_shuffle_general(n, k, exact=False) == pytest.approx(
             float(exact), abs=1e-11
         )
+
+
+def test_bounded_load_equals_partition_and_composition():
+    cases = [(n, k) for k in range(2, 8) for n in range(1, 16)]
+    cases += [(n, 10) for n in range(1, 5)]  # k > n
+    for n, k in cases:
+        recursion = v_post_shuffle_general(n, k, exact=True)
+        assert recursion == v_post_shuffle_general(n, k, method="partition", exact=True)
+        assert recursion == v_post_shuffle_general(
+            n, k, method="composition", exact=True
+        )
+
+
+# (70, 10**6): C(k, u) exceeds the float range for u >= 68.
+@pytest.mark.parametrize(
+    "n,k", [(300, 3), (120, 5), (80, 6), (100, 10), (40, 40), (70, 10**6)]
+)
+def test_bounded_load_float_close_to_exact(n, k):
+    exact = v_post_shuffle_general(n, k, exact=True)
+    assert isinstance(exact, Fraction)
+    floating = v_post_shuffle_general(n, k, exact=False)
+    assert isinstance(floating, float)
+    assert abs(floating - float(exact)) <= FLOAT_TOL
+
+
+def test_partition_method_float_mode():
+    exact = v_post_shuffle_general(9, 4, method="partition", exact=True)
+    floating = v_post_shuffle_general(9, 4, method="partition", exact=False)
+    assert isinstance(floating, float)
+    assert floating == float(exact)
+
+
+def test_unknown_shuffle_method_rejected():
+    with pytest.raises(ValueError, match="method"):
+        v_post_shuffle_general(4, 3, method="histogram")
 
 
 def test_ns_general_relation_equals_partition():
