@@ -5,6 +5,19 @@ explicit row/column labels.  Secrets here are datasets (tuples of n
 attribute values from a k-letter alphabet, position 0 being the target
 individual) and observables are either datasets or histograms.
 
+Representation.  An exact channel holds integer numerators ``num`` over
+one shared denominator ``den``, kept reduced: the gcd of ``den`` and
+every numerator is 1, so ``==`` and ``hash`` compare values.  Exactness
+is the field ``den`` (``None`` for a float channel), a row is valid when
+its numerators are non-negative and sum to ``den``, and the algebra
+below (cascade, canonical form, posterior sums) runs on the integers and
+divides once.  A float channel holds its binary64 rows as given.
+``Channel(row_labels, col_labels, rows)`` accepts either kind of rows:
+rows whose entries are all rationals (``Fraction`` or ``int``) make an
+exact channel.  ``rows`` reads probabilities in both cases; for an exact
+channel it builds the ``Fraction`` matrix on first use, so hot paths
+read ``num`` and ``den`` instead.
+
 Channels are immutable after construction; builders, cascade and the
 comparison operations are pure, so values can be shared freely across
 threads.
@@ -14,11 +27,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .combinatorics import krr_histogram_transition
+from .combinatorics import transfer_tables
 from .scalars import FLOAT_TOL, Scalar, all_exact, close, is_exact, require_probability
 
 #: Default bound on k**n for full (dataset-indexed) channel construction.
@@ -114,23 +126,90 @@ def _check_cap(n: int, k: int, cap: int):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Channel:
-    """Row-stochastic labeled matrix of conditional probabilities."""
+    """Row-stochastic labeled matrix of conditional probabilities.
 
-    row_labels: tuple[str, ...]
-    col_labels: tuple[str, ...]
-    rows: tuple[tuple[Scalar, ...], ...]
+    Exact: integer rows ``num`` over the shared denominator ``den``.
+    Float: binary64 ``rows``, with ``num`` and ``den`` set to None.
+    """
+
+    __slots__ = ("row_labels", "col_labels", "num", "den", "_rows")
+
+    def __init__(self, row_labels, col_labels, rows):
+        rows = tuple(tuple(row) for row in rows)
+        if all(all_exact(row) for row in rows):
+            den = math.lcm(*{e.denominator for row in rows for e in row})
+            num = tuple(
+                tuple(e.numerator * (den // e.denominator) for e in row) for row in rows
+            )
+            self._fill(row_labels, col_labels, num, den, None)
+        else:
+            self._fill(row_labels, col_labels, None, None, rows)
+        self.__post_init__()
+
+    @classmethod
+    def _exact(cls, row_labels, col_labels, num, den: int) -> "Channel":
+        """Exact channel from integer rows over ``den``, reduced here.
+
+        Rows that are one object stay one object.
+        """
+        g = den
+        for row in num:
+            g = math.gcd(g, *row)
+            if g == 1:
+                break
+        if g > 1:
+            den //= g
+            reduced: dict[int, tuple[int, ...]] = {}
+            for row in num:
+                if id(row) not in reduced:
+                    reduced[id(row)] = tuple(v // g for v in row)
+            num = [reduced[id(row)] for row in num]
+        self = object.__new__(cls)
+        self._fill(row_labels, col_labels, tuple(num), den, None)
+        self.__post_init__()
+        return self
+
+    def _fill(self, row_labels, col_labels, num, den, rows):
+        for name, value in (("row_labels", tuple(row_labels)),
+                            ("col_labels", tuple(col_labels)),
+                            ("num", num), ("den", den), ("_rows", rows)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Channel is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("Channel is immutable")
+
+    def __reduce__(self):
+        if self.den is None:
+            return (Channel, (self.row_labels, self.col_labels, self._rows))
+        return (Channel._exact, (self.row_labels, self.col_labels, self.num, self.den))
 
     def __post_init__(self):
         if len(set(self.row_labels)) != len(self.row_labels):
             raise ValueError("duplicate row labels")
         if len(set(self.col_labels)) != len(self.col_labels):
             raise ValueError("duplicate column labels")
-        if len(self.rows) != len(self.row_labels):
-            raise ValueError("row count does not match row labels")
         ncols = len(self.col_labels)
-        for label, row in zip(self.row_labels, self.rows):
+        if self.den is not None:
+            if len(self.num) != len(self.row_labels):
+                raise ValueError("row count does not match row labels")
+            if self.den < 1:
+                raise ValueError("denominator must be positive")
+            for label, row in zip(self.row_labels, self.num):
+                if len(row) != ncols:
+                    raise ValueError("row %r has wrong width" % label)
+                if row and min(row) < 0:
+                    raise ValueError("negative entry in row %r" % label)
+                if sum(row) != self.den:
+                    raise ValueError("row %r sums to %s, not 1"
+                                     % (label, Fraction(sum(row), self.den)))
+            return
+        if len(self._rows) != len(self.row_labels):
+            raise ValueError("row count does not match row labels")
+        for label, row in zip(self.row_labels, self._rows):
             if len(row) != ncols:
                 raise ValueError("row %r has wrong width" % label)
             if any(e < 0 for e in row):
@@ -143,16 +222,46 @@ class Channel:
                 raise ValueError("row %r sums to %r, not 1" % (label, total))
 
     @property
+    def rows(self) -> tuple[tuple[Scalar, ...], ...]:
+        """The entries as probabilities (``Fraction`` for an exact channel)."""
+        if self._rows is None:
+            den = self.den
+            built: dict[int, tuple[Fraction, ...]] = {}
+            for row in self.num:
+                if id(row) not in built:
+                    built[id(row)] = tuple(Fraction(v, den) for v in row)
+            object.__setattr__(self, "_rows", tuple(built[id(row)] for row in self.num))
+        return self._rows
+
+    def _key(self):
+        body = self._rows if self.den is None else self.num
+        return (self.row_labels, self.col_labels, self.den, body)
+
+    def __eq__(self, other):
+        if not isinstance(other, Channel):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "Channel(row_labels=%r, col_labels=%r, rows=%r)" % (
+            self.row_labels, self.col_labels, self.rows)
+
+    @property
     def shape(self) -> tuple[int, int]:
         return (len(self.row_labels), len(self.col_labels))
 
     def entry(self, row_label: str, col_label: str) -> Scalar:
-        return self.rows[self.row_labels.index(row_label)][
-            self.col_labels.index(col_label)
-        ]
+        i = self.row_labels.index(row_label)
+        j = self.col_labels.index(col_label)
+        if self.den is None:
+            return self._rows[i][j]
+        return Fraction(self.num[i][j], self.den)
 
     def is_exact(self) -> bool:
-        return all(all_exact(row) for row in self.rows)
+        return self.den is not None
 
     def to_csv(self, exact: bool = False) -> str:
         """CSV dump: header of column labels, one row per secret.
@@ -161,24 +270,70 @@ class Channel:
         ``exact`` is set.  Labels are alphanumeric/colon so no quoting
         is needed; lines end with LF.
         """
-        def fmt(e: Scalar) -> str:
-            if exact:
-                return str(Fraction(e)) if is_exact(e) else repr(e)
-            return repr(float(e))
+        if self.den is None:
+            rows = self._rows
+
+            def fmt(e: Scalar) -> str:
+                if exact:
+                    return str(Fraction(e)) if is_exact(e) else repr(e)
+                return repr(float(e))
+        else:
+            rows, den = self.num, self.den
+
+            def fmt(v: int) -> str:
+                if not exact:
+                    return repr(v / den)
+                g = math.gcd(v, den)
+                return "%d" % (v // g) if g == den else "%d/%d" % (v // g, den // g)
 
         lines = ["secret," + ",".join(self.col_labels)]
-        for label, row in zip(self.row_labels, self.rows):
-            lines.append(label + "," + ",".join(fmt(e) for e in row))
+        for label, row in zip(self.row_labels, rows):
+            lines.append(label + "," + ",".join(map(fmt, row)))
         return "\n".join(lines) + "\n"
 
 
-def _freeze(rows: list[list[Scalar]]) -> tuple[tuple[Scalar, ...], ...]:
-    return tuple(tuple(r) for r in rows)
+def _channel(row_labels, col_labels, rows, den) -> Channel:
+    """Exact channel from integer rows over ``den``, or float rows when
+    ``den`` is None."""
+    if den is None:
+        return Channel(row_labels, col_labels, rows)
+    return Channel._exact(row_labels, col_labels, rows, den)
 
 
 # ---------------------------------------------------------------------------
 # Builders
 # ---------------------------------------------------------------------------
+
+
+def _match_weights(n: int, k: int, p: Scalar):
+    """Probability that per-record noise maps a dataset to one given
+    dataset agreeing with it in m positions, for m = 0..n.
+
+    For a rational p = a/b these are integers over the denominator
+    (b (k-1))**n: a**m (k-1)**m (b-a)**(n-m).  For a float p they are
+    floats and the denominator is None.
+    """
+    if is_exact(p):
+        p = Fraction(p)
+        a, b = p.numerator, p.denominator
+        stay, move = a * (k - 1), b - a
+        return [stay**m * move ** (n - m) for m in range(n + 1)], (b * (k - 1)) ** n
+    off = (1 - p) / (k - 1)
+    return [p**m * off ** (n - m) for m in range(n + 1)], None
+
+
+def _match_counts(n: int, k: int) -> list[tuple[int, ...]]:
+    """Row x, column y: the number of positions where datasets x and y
+    agree, in the order of :func:`enumerate_datasets`."""
+    rows = [(0,)]
+    for _ in range(n):
+        bumped = [tuple(c + 1 for c in r) for r in rows]
+        rows = [
+            r * v + b + r * (k - 1 - v)
+            for v in range(k)
+            for r, b in zip(rows, bumped)
+        ]
+    return rows
 
 
 def build_krr(n: int, k: int, p: Scalar, cap: int = DEFAULT_CAP) -> Channel:
@@ -191,16 +346,16 @@ def build_krr(n: int, k: int, p: Scalar, cap: int = DEFAULT_CAP) -> Channel:
     _check_nk(n, k)
     _check_p(p, k)
     _check_cap(n, k, cap)
+    labels = tuple(dataset_label(x, k) for x in enumerate_datasets(n, k))
+    weights, den = _match_weights(n, k, p)
+    rows = [tuple(map(weights.__getitem__, counts)) for counts in _match_counts(n, k)]
+    return _channel(labels, labels, rows, den)
+
+
+def _classes(n: int, k: int):
+    """Datasets, and for each its histogram."""
     X = enumerate_datasets(n, k)
-    labels = tuple(dataset_label(x, k) for x in X)
-    off = (1 - p) / (k - 1)
-    by_matches = [p**m * off ** (n - m) for m in range(n + 1)]
-    rows = []
-    for x in X:
-        rows.append(
-            [by_matches[sum(a == b for a, b in zip(x, y))] for y in X]
-        )
-    return Channel(labels, labels, _freeze(rows))
+    return X, [histogram_of(x, k) for x in X]
 
 
 def build_shuffle_full(n: int, k: int, cap: int = DEFAULT_CAP) -> Channel:
@@ -211,81 +366,63 @@ def build_shuffle_full(n: int, k: int, cap: int = DEFAULT_CAP) -> Channel:
     """
     _check_nk(n, k)
     _check_cap(n, k, cap)
-    X = enumerate_datasets(n, k)
+    X, hists = _classes(n, k)
     labels = tuple(dataset_label(x, k) for x in X)
-    hists = [histogram_of(x, k) for x in X]
-    class_size = Counter(hists)
-    rows = []
-    for hx in hists:
-        w = Fraction(1, class_size[hx])
-        rows.append([w if hy == hx else 0 for hy in hists])
-    return Channel(labels, labels, _freeze(rows))
+    members: dict[tuple[int, ...], list[int]] = {}
+    for j, h in enumerate(hists):
+        members.setdefault(h, []).append(j)
+    den = math.lcm(*(len(js) for js in members.values()))
+    shared = {}  # one row object per histogram class
+    for h, js in members.items():
+        row = [0] * len(X)
+        for j in js:
+            row[j] = den // len(js)
+        shared[h] = tuple(row)
+    return Channel._exact(labels, labels, [shared[h] for h in hists], den)
 
 
 def build_shuffle_reduced(n: int, k: int, cap: int = DEFAULT_CAP) -> Channel:
     """Deterministic dataset-to-histogram channel (k**n x #histograms)."""
     _check_nk(n, k)
     _check_cap(n, k, cap)
-    X = enumerate_datasets(n, k)
+    X, hists = _classes(n, k)
     hist_list = enumerate_histograms(n, k)
-    col_index = {h: j for j, h in enumerate(hist_list)}
-    rows = []
-    for x in X:
-        row: list[Scalar] = [0] * len(hist_list)
-        row[col_index[histogram_of(x, k)]] = 1
-        rows.append(row)
-    return Channel(
+    shared = {}  # one row object per histogram class
+    for j, h in enumerate(hist_list):
+        row = [0] * len(hist_list)
+        row[j] = 1
+        shared[h] = tuple(row)
+    return Channel._exact(
         tuple(dataset_label(x, k) for x in X),
         tuple(histogram_label(h, k) for h in hist_list),
-        _freeze(rows),
+        [shared[h] for h in hists],
+        1,
     )
 
 
-def build_krr_reduced(n: int, k: int, p: Scalar, cap: int = DEFAULT_CAP) -> Channel:
+def build_krr_reduced(n: int, k: int, p: Scalar) -> Channel:
     """Randomized response lifted to histograms (#histograms x #histograms).
 
     The entry at (z1, z2) is the probability that per-record noise maps a
-    dataset drawn uniformly from the histogram class z1 to some dataset
-    with histogram z2.  The binary case has a closed form; general k is
-    aggregated from the full channel, so it is cap-guarded.
+    dataset with histogram z1 to some dataset with histogram z2: the sum
+    over k x k transfer tables with row sums z1 and column sums z2 of
+    the table's count times the probability of one such report (see
+    :func:`rrshuffle.combinatorics.transfer_tables`).  It never touches
+    the k**n datasets.
     """
     _check_nk(n, k)
     _check_p(p, k)
     hist_list = enumerate_histograms(n, k)
     labels = tuple(histogram_label(h, k) for h in hist_list)
-    if k == 2:
-        rows = [
-            [krr_histogram_transition(z1[0], z1[1], z2[0], z2[1], p) for z2 in hist_list]
-            for z1 in hist_list
-        ]
-        return Channel(labels, labels, _freeze(rows))
-
-    _check_cap(n, k, cap)
-    full = build_krr(n, k, p, cap=cap)
-    X = enumerate_datasets(n, k)
-    hists = [histogram_of(x, k) for x in X]
-    col_index = {h: j for j, h in enumerate(hist_list)}
-    # Sum the full channel's columns within each output histogram class,
-    # then average the rows within each input histogram class.
-    acc: list[list[Scalar]] = [[0] * len(hist_list) for _ in hist_list]
-    members = Counter(hists)
-    for i, hx in enumerate(hists):
-        zi = col_index[hx]
-        row = full.rows[i]
-        target = acc[zi]
-        for j, hy in enumerate(hists):
-            target[col_index[hy]] += row[j]
-    if full.is_exact():
-        rows = [
-            [Fraction(e) / members[h] for e in acc_row]
-            for h, acc_row in zip(hist_list, acc)
-        ]
-    else:
-        rows = [
-            [e / members[h] for e in acc_row]
-            for h, acc_row in zip(hist_list, acc)
-        ]
-    return Channel(labels, labels, _freeze(rows))
+    weights, den = _match_weights(n, k, p)
+    rows = [
+        tuple(
+            sum(ways * weights[kept] for ways, kept in transfer_tables(z1, z2))
+            for z2 in hist_list
+        )
+        for z1 in hist_list
+    ]
+    return _channel(labels, labels, rows, den)
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +434,9 @@ def cascade(first: Channel, second: Channel) -> Channel:
     """Sequential composition: ``second`` post-processes ``first``.
 
     Ordinary matrix multiplication; requires the output labels of
-    ``first`` to be exactly the input labels of ``second``.
+    ``first`` to be exactly the input labels of ``second``.  Exact
+    channels multiply their integer rows over the denominator
+    ``first.den * second.den``; otherwise the product is in binary64.
     """
     if first.col_labels != second.row_labels:
         raise CascadeTypeError(
@@ -311,47 +450,49 @@ def cascade(first: Channel, second: Channel) -> Channel:
             )
         )
     if first.is_exact() and second.is_exact():
-        rows = _matmul_exact(first.rows, second.rows)
-    else:
-        rows = _matmul_float(first.rows, second.rows)
-    return Channel(first.row_labels, second.col_labels, _freeze(rows))
+        rows = _matmul_exact(first.num, second.num, len(second.col_labels))
+        return Channel._exact(first.row_labels, second.col_labels, rows,
+                              first.den * second.den)
+    rows = _matmul_float(_float_rows(first), _float_rows(second))
+    return Channel(first.row_labels, second.col_labels, rows)
 
 
-def _matmul_exact(A, B) -> list[list[Scalar]]:
-    # Exact product done in integer arithmetic: rewrite each row of B
-    # over a single denominator, pick a common denominator per output
-    # row, accumulate integers, and reduce once at the end.
-    ncols = len(B[0])
-    b_den: list[int] = []
-    b_num: list[list[int]] = []
-    b_nonzero: list[list[int]] = []
-    for row in B:
-        d = 1
-        for e in row:
-            ed = Fraction(e).denominator
-            d = d * ed // math.gcd(d, ed)
-        nums = [int(e * d) for e in row]
-        b_den.append(d)
-        b_num.append(nums)
-        b_nonzero.append([j for j, v in enumerate(nums) if v])
+def _matmul_exact(A, B, ncols: int) -> list[tuple[int, ...]]:
+    """Sparse integer product A B.
+
+    Equal rows of B (all rows of one shuffle class) are handled once:
+    the entries of a row of A over them are summed first.  Equal rows
+    of A give one shared product row.
+    """
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i, brow in enumerate(B):
+        groups.setdefault(brow, []).append(i)
+    plan = [
+        (members, [(j, v) for j, v in enumerate(brow) if v])
+        for brow, members in groups.items()
+    ]
+    products: dict[tuple[int, ...], tuple[int, ...]] = {}
     out = []
     for arow in A:
-        common = 1
-        for i, a in enumerate(arow):
-            if a:
-                t = Fraction(a).denominator * b_den[i]
-                common = common * t // math.gcd(common, t)
-        acc = [0] * ncols
-        for i, a in enumerate(arow):
-            if not a:
-                continue
-            af = Fraction(a)
-            scale = af.numerator * (common // (af.denominator * b_den[i]))
-            nums = b_num[i]
-            for j in b_nonzero[i]:
-                acc[j] += scale * nums[j]
-        out.append([Fraction(v, common) for v in acc])
+        product = products.get(arow)
+        if product is None:
+            acc = [0] * ncols
+            for members, nonzero in plan:
+                w = sum(map(arow.__getitem__, members))
+                if w:
+                    for j, v in nonzero:
+                        acc[j] += w * v
+            product = products[arow] = tuple(acc)
+        out.append(product)
     return out
+
+
+def _float_rows(channel: Channel):
+    """Rows as binary64; an exact entry becomes its correctly rounded float."""
+    if channel.den is None:
+        return channel.rows
+    den = channel.den
+    return [[v / den for v in row] for row in channel.num]
 
 
 def _matmul_float(A, B) -> list[list[Scalar]]:
@@ -371,8 +512,9 @@ def _matmul_float(A, B) -> list[list[Scalar]]:
 
 
 def identity_channel(labels: tuple[str, ...]) -> Channel:
-    rows = [[1 if i == j else 0 for j in range(len(labels))] for i in range(len(labels))]
-    return Channel(tuple(labels), tuple(labels), _freeze(rows))
+    m = len(labels)
+    rows = [tuple(1 if i == j else 0 for j in range(m)) for i in range(m)]
+    return Channel._exact(tuple(labels), tuple(labels), rows, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -405,20 +547,26 @@ class CanonicalChannel:
 def canonicalize(channel: Channel) -> CanonicalChannel:
     """Merge proportional columns, drop zero columns, normalize and sort."""
     nrows = len(channel.row_labels)
-    cols = list(zip(*channel.rows)) if channel.rows else []
     if channel.is_exact():
-        merged: dict[tuple[Scalar, ...], Scalar] = {}
-        for col in cols:
-            colsum = Fraction(sum(col))
-            if colsum == 0:
+        # Two columns are proportional exactly when their primitive
+        # integer vectors (the column divided by its gcd) are equal.
+        merged: dict[tuple[int, ...], int] = {}  # primitive column -> mass
+        for col in zip(*channel.num):
+            g = math.gcd(*col)
+            if g == 0:
                 continue
-            posterior = tuple(Fraction(e) / colsum for e in col)
-            merged[posterior] = merged.get(posterior, 0) + colsum / nrows
-        columns = tuple(sorted((outer, post) for post, outer in merged.items()))
-        return CanonicalChannel(channel.row_labels, columns)
+            key = col if g == 1 else tuple(v // g for v in col)
+            merged[key] = merged.get(key, 0) + sum(col)
+        scale = channel.den * nrows
+        columns = []
+        for key, mass in merged.items():
+            total = sum(key)
+            columns.append((Fraction(mass, scale), tuple(Fraction(v, total) for v in key)))
+        return CanonicalChannel(channel.row_labels, tuple(sorted(columns)))
 
     # Float mode: group by the cross-multiplication proportionality test
     # |u * sum(v) - v * sum(u)|_inf <= FLOAT_TOL on the raw columns.
+    cols = list(zip(*channel.rows)) if channel.rows else []
     reps: list[list] = []  # [raw column, column sum, accumulated outer]
     for col in cols:
         colsum = sum(col)
@@ -521,12 +669,17 @@ def verify_dp_adjacent(channel: Channel, n: int, k: int, epsilon: float,
 # ---------------------------------------------------------------------------
 
 
-def _truth_probability(epsilon: float, exact: bool) -> Scalar:
+def _report_weights(epsilon: float, exact: bool):
+    """Truthful and complementary report weights and their denominator:
+    integers over e^eps's numerator plus denominator when ``exact``
+    (e^eps read as the rational its binary64 value denotes), else the
+    two float probabilities and None."""
     e = math.exp(epsilon)
     if exact:
-        ef = Fraction(e)
-        return ef / (1 + ef)
-    return e / (1 + e)
+        a, b = e.as_integer_ratio()
+        return a, b, a + b
+    q = e / (1 + e)
+    return q, 1 - q, None
 
 
 def build_last_record_reporter(n: int, epsilon: float, exact: bool = True) -> Channel:
@@ -536,12 +689,10 @@ def build_last_record_reporter(n: int, epsilon: float, exact: bool = True) -> Ch
     A 2**n x 2 channel over outputs {0, 1}.
     """
     _check_nk(n, 2)
-    q = _truth_probability(epsilon, exact)
+    truth, lie, den = _report_weights(epsilon, exact)
     X = enumerate_datasets(n, 2)
-    rows = [[q, 1 - q] if x[-1] == 0 else [1 - q, q] for x in X]
-    return Channel(
-        tuple(dataset_label(x, 2) for x in X), ("0", "1"), _freeze(rows)
-    )
+    rows = [(truth, lie) if x[-1] == 0 else (lie, truth) for x in X]
+    return _channel(tuple(dataset_label(x, 2) for x in X), ("0", "1"), rows, den)
 
 
 def build_parity_masked_reporter(n: int, epsilon: float, exact: bool = True) -> Channel:
@@ -555,14 +706,12 @@ def build_parity_masked_reporter(n: int, epsilon: float, exact: bool = True) -> 
     coincide.
     """
     _check_nk(n, 2)
-    q = _truth_probability(epsilon, exact)
+    truth, lie, den = _report_weights(epsilon, exact)
     X = enumerate_datasets(n, 2)
     rows = []
     for x in X:
-        truthful = [q, 1 - q] if x[-1] == 0 else [1 - q, q]
+        truthful = [truth, lie] if x[-1] == 0 else [lie, truth]
         if sum(x[:-1]) % 2 == 1:
             truthful.reverse()
-        rows.append(truthful)
-    return Channel(
-        tuple(dataset_label(x, 2) for x in X), ("0", "1"), _freeze(rows)
-    )
+        rows.append(tuple(truthful))
+    return _channel(tuple(dataset_label(x, 2) for x in X), ("0", "1"), rows, den)

@@ -41,12 +41,11 @@ class Parser(argparse.ArgumentParser):
 PIPELINES = {"krr": ["krr"], "shuffle": ["shuffle"], "krr-shuffle": ["krr", "shuffle"]}
 
 
-def _common_flags(sub: argparse.ArgumentParser):
-    sub.add_argument("--exact", action="store_true",
-                     help="exact rational arithmetic (fractions in output); "
-                          "binary64 otherwise")
-    sub.add_argument("--cap", type=int, default=DEFAULT_CAP,
-                     help="bound on k**n for full-channel construction")
+def _common_flags(sub: argparse.ArgumentParser, exact: bool = True):
+    if exact:
+        sub.add_argument("--exact", action="store_true",
+                         help="exact rational arithmetic (fractions in output); "
+                              "binary64 otherwise")
     sub.add_argument("--out", help="write output to this path instead of stdout")
 
 
@@ -109,13 +108,15 @@ def build_parser() -> Parser:
     channel.add_argument("--n", type=int, required=True)
     channel.add_argument("--k", type=int, default=2)
     _p_flags(channel)
+    channel.add_argument("--cap", type=int, default=DEFAULT_CAP,
+                         help="bound on k**n for full-channel construction")
     _common_flags(channel)
     channel.set_defaults(func=cmd_channel)
 
     check = subs.add_parser("check", help="run an invariant suite")
     check.add_argument("--suite", required=True, choices=sorted(checks.SUITES))
     check.add_argument("--max-n", type=int, default=None)
-    _common_flags(check)
+    _common_flags(check, exact=False)
     check.set_defaults(func=cmd_check)
 
     return parser
@@ -264,7 +265,7 @@ def cmd_channel(args) -> int:
     if kind == "krr":
         chan = build_krr(n, k, p, cap)
     elif kind == "krr-reduced":
-        chan = build_krr_reduced(n, k, p, cap)
+        chan = build_krr_reduced(n, k, p)
     elif kind == "shuffle":
         chan = build_shuffle_full(n, k, cap)
     elif kind == "shuffle-reduced":

@@ -122,19 +122,95 @@ def partitions(n: int, max_parts: int) -> Iterator[IntegerPartition]:
     yield from rec(n, n, [])
 
 
-def krr_histogram_transition(
+def _splits(total: int, room: Sequence[int]) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Each way to split ``total`` into len(room) >= 2 non-negative parts
+    with part j at most room[j], with its multinomial coefficient."""
+    spare = sum(room[1:])
+    for first in range(max(0, total - spare), min(total, room[0]) + 1):
+        ways = math.comb(total, first)
+        if len(room) == 2:
+            yield (first, total - first), ways
+        else:
+            for rest, more in _splits(total - first, room[1:]):
+                yield (first,) + rest, ways * more
+
+
+def transfer_tables(z_in: Sequence[int], z_out: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """(ways, kept) for each k x k table T of non-negative counts with row
+    sums ``z_in`` and column sums ``z_out`` (k >= 2, both summing to n).
+
+    T[i][j] counts the records of value i reported as value j.  ``ways``
+    = prod_i multinomial(z_in[i]; T[i]) is the number of record-level
+    reports the table stands for, and ``kept`` = trace(T) the number of
+    records that kept their value.  Tables come row by row, each row in
+    increasing lexicographic order; the last row is what the column
+    sums leave over.
+    """
+    k = len(z_in)
+
+    def rows(i: int, room: tuple[int, ...]) -> Iterator[tuple[int, int]]:
+        if i == k - 1:
+            ways, left = 1, z_in[i]
+            for c in room:
+                ways *= math.comb(left, c)
+                left -= c
+            yield ways, room[i]
+            return
+        for row, ways in _splits(z_in[i], room):
+            rest = tuple(c - t for c, t in zip(room, row))
+            for more, kept in rows(i + 1, rest):
+                yield ways * more, kept + row[i]
+
+    return rows(0, tuple(z_out))
+
+
+def krr_histogram_transition(*args) -> Scalar:
+    """Probability that per-record k-ary randomized response turns an
+    input with histogram z_in into an output with histogram z_out.
+
+    Called as ``(z_in, z_out, p)`` with two length-k count vectors, or
+    for two letters as ``(n_a_in, n_b_in, n_a_out, n_b_out, p)``.  Each
+    record independently keeps its value with probability p and moves
+    to each other value with probability (1-p)/(k-1).  The sum runs over
+    the transfer tables of :func:`transfer_tables`: a table with
+    ``kept`` records kept stands for ``ways`` reports of probability
+    p**kept ((1-p)/(k-1))**(n-kept) each.  Exact when p is rational.
+    """
+    if len(args) == 5:
+        return _binary_transition(*args)
+    if len(args) != 3:
+        raise TypeError("expected (z_in, z_out, p) or "
+                        "(n_a_in, n_b_in, n_a_out, n_b_out, p)")
+    z_in, z_out, p = args
+    k = len(z_in)
+    if k < 2 or len(z_out) != k:
+        raise ValueError("histograms must have the same length k >= 2")
+    if k == 2:
+        return _binary_transition(*z_in, *z_out, p)
+    if min(z_in) < 0 or min(z_out) < 0:
+        raise ValueError("histogram counts must be non-negative")
+    n = sum(z_in)
+    if sum(z_out) != n:
+        raise ValueError(
+            "count-sum mismatch: input histogram sums to %d, output to %d"
+            % (n, sum(z_out))
+        )
+    require_probability(p, Fraction(1, k))
+    if is_exact(p):
+        p = Fraction(p)
+    off = (1 - p) / (k - 1)
+    return sum(
+        ways * p**kept * off ** (n - kept) for ways, kept in transfer_tables(z_in, z_out)
+    )
+
+
+def _binary_transition(
     n_a_in: int, n_b_in: int, n_a_out: int, n_b_out: int, p: Scalar
 ) -> Scalar:
-    """Probability that per-record binary randomized response turns an
-    input with histogram (n_a_in, n_b_in) into an output with histogram
-    (n_a_out, n_b_out).
-
-    Each record independently keeps its value with probability p.  The
-    sum runs over the feasible counts of a-records that stayed an 'a';
-    fixing that count fixes how many b-records stayed a 'b', and the
-    binomials count the ways to choose which records flipped.  Exact
-    when p is rational.
-    """
+    """The two-letter case, where a transfer table has one free count:
+    the a-records that stayed an 'a'.  Fixing it fixes how many
+    b-records stayed a 'b', and the binomials count the ways to choose
+    which records flipped."""
     for count in (n_a_in, n_b_in, n_a_out, n_b_out):
         if count < 0:
             raise ValueError("histogram counts must be non-negative")
@@ -165,7 +241,10 @@ def krr_histogram_transition(
 def epsilon_to_p(epsilon: float, k: int) -> float:
     """Truthful-report probability of k-ary randomized response at a
     given privacy parameter: p = e^eps / (k - 1 + e^eps).  Raises
-    ``ValueError`` when e^eps overflows binary64."""
+    ``ValueError`` for a non-finite epsilon and when e^eps overflows
+    binary64."""
+    if not math.isfinite(epsilon):
+        raise ValueError("epsilon must be finite (got %r)" % (epsilon,))
     if epsilon < 0:
         raise ValueError("epsilon must be non-negative")
     if k < 2:

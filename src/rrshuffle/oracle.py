@@ -65,20 +65,18 @@ def oracle_posterior(
             raise ValueError("unknown pipeline stage %r" % (kind,))
         channel = stage if channel is None else cascade(channel, stage)
 
+    # The entries are channel.num over channel.den: sum the numerators
+    # and divide once, by den and by the k**n of the uniform prior.
     X = enumerate_datasets(n, k)
-    prior = Fraction(1, k**n)
-    total = Fraction(0)
-    for j in range(len(channel.col_labels)):
-        best = Fraction(0)
+    total = 0
+    for column in zip(*channel.num):
+        best = 0
         for w in range(k):
-            gained = sum(
-                (channel.rows[i][j] for i, x in enumerate(X) if x[0] == w),
-                Fraction(0),
-            )
+            gained = sum(c for c, x in zip(column, X) if x[0] == w)
             if gained > best:
                 best = gained
         total += best
-    return total * prior
+    return Fraction(total, channel.den * k**n)
 
 
 def oracle_histogram_transition(

@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rrshuffle.channels import (
     CapExceededError,
@@ -23,6 +25,7 @@ from rrshuffle.channels import (
     verify_dp_adjacent,
     verify_ldp,
 )
+from rrshuffle.combinatorics import krr_histogram_transition
 
 P = Fraction(3, 4)
 PBAR = 1 - P
@@ -383,3 +386,136 @@ def test_csv_float_mode():
 def test_csv_deterministic():
     chan = build_krr_reduced(4, 2, Fraction(9, 10))
     assert chan.to_csv(exact=True) == chan.to_csv(exact=True)
+
+
+def test_csv_pinned_ns_channel():
+    ns = cascade(build_krr(2, 2, Fraction(2, 3)), build_shuffle_full(2, 2))
+    assert ns.to_csv(exact=True) == (
+        "secret,aa,ab,ba,bb\n"
+        "aa,4/9,2/9,2/9,1/9\n"
+        "ab,2/9,5/18,5/18,2/9\n"
+        "ba,2/9,5/18,5/18,2/9\n"
+        "bb,1/9,2/9,2/9,4/9\n"
+    )
+    assert ns.to_csv() == (
+        "secret,aa,ab,ba,bb\n"
+        "aa,0.4444444444444444,0.2222222222222222,0.2222222222222222,"
+        "0.1111111111111111\n"
+        "ab,0.2222222222222222,0.2777777777777778,0.2777777777777778,"
+        "0.2222222222222222\n"
+        "ba,0.2222222222222222,0.2777777777777778,0.2777777777777778,"
+        "0.2222222222222222\n"
+        "bb,0.1111111111111111,0.2222222222222222,0.2222222222222222,"
+        "0.4444444444444444\n"
+    )
+
+
+# ---------------------------------------------------------------------------
+# exact representation: integer numerators over one reduced denominator
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def rational_rows(draw, nrows, ncols):
+    """Rows of Fractions; drawn from a small pool so that equal rows occur."""
+    weights = st.lists(st.integers(0, 5), min_size=ncols, max_size=ncols).filter(any)
+    pool = [draw(weights) for _ in range(draw(st.integers(1, nrows)))]
+    rows = []
+    for _ in range(nrows):
+        w = draw(st.sampled_from(pool))
+        rows.append(tuple(Fraction(v, sum(w)) for v in w))
+    return tuple(rows)
+
+
+@st.composite
+def cascadable_pair(draw):
+    m, inner, r = (draw(st.integers(1, 5)) for _ in range(3))
+    xs = tuple("x%d" % i for i in range(m))
+    ys = tuple("y%d" % i for i in range(inner))
+    zs = tuple("z%d" % i for i in range(r))
+    return (Channel(xs, ys, draw(rational_rows(m, inner))),
+            Channel(ys, zs, draw(rational_rows(inner, r))))
+
+
+@given(cascadable_pair())
+@settings(max_examples=200, deadline=None)
+def test_exact_cascade_equals_fraction_matrix_product(pair):
+    first, second = pair
+    literal = tuple(
+        tuple(
+            sum((a * brow[j] for a, brow in zip(arow, second.rows)), Fraction(0))
+            for j in range(len(second.col_labels))
+        )
+        for arow in first.rows
+    )
+    product = cascade(first, second)
+    assert product.is_exact()
+    assert product.rows == literal
+    assert product == Channel(first.row_labels, second.col_labels, literal)
+    assert math.gcd(product.den, *(v for row in product.num for v in row)) == 1
+
+
+def test_equal_values_by_different_routes_are_equal_with_equal_hashes():
+    for n, k, p in [(3, 2, P), (3, 3, Fraction(1, 2)), (2, 4, Fraction(2, 5))]:
+        noise = build_krr(n, k, p)
+        sr = build_shuffle_reduced(n, k)
+        left = cascade(noise, sr)
+        right = cascade(sr, build_krr_reduced(n, k, p))
+        assert left == right
+        assert hash(left) == hash(right)
+        assert len({left, right}) == 1
+    chan = build_krr(2, 3, Fraction(1, 2))
+    rebuilt = Channel(list(chan.row_labels), list(chan.col_labels), chan.rows)
+    assert rebuilt == chan and hash(rebuilt) == hash(chan)
+    assert chan != build_krr(2, 3, Fraction(2, 3))
+
+
+def test_exactness_is_stored_not_scanned():
+    exact = build_shuffle_reduced(2, 2)
+    assert exact.is_exact() and exact.den == 1
+    assert exact.rows[0] == (0, 0, 1)
+    assert isinstance(cascade(build_krr(2, 2, P), exact).rows[0][0], Fraction)
+    floating = build_krr(2, 2, 0.75)
+    assert not floating.is_exact() and floating.den is None
+    # Equal values in the two modes are still different channels.
+    labels = ("x", "y")
+    one = Channel(labels, labels, ((1, 0), (0, 1)))
+    assert one != Channel(labels, labels, ((1.0, 0.0), (0.0, 1.0)))
+    with pytest.raises(AttributeError):
+        one.den = 2
+
+
+def test_exact_channel_validation():
+    with pytest.raises(ValueError, match="sums to 1/2"):
+        Channel(("x",), ("y", "z"), ((Fraction(1, 4), Fraction(1, 4)),))
+    with pytest.raises(ValueError, match="negative"):
+        Channel(("x",), ("y", "z"), ((Fraction(3, 2), Fraction(-1, 2)),))
+    with pytest.raises(ValueError, match="wrong width"):
+        Channel(("x",), ("y", "z"), ((1,),))
+
+
+@pytest.mark.parametrize("n, k", [(1, 3), (2, 3), (3, 3), (2, 4)])
+def test_krr_reduced_general_k_matches_full_aggregation(n, k):
+    p = Fraction(3, 5)
+    reduced = build_krr_reduced(n, k, p)
+    full = build_krr(n, k, p)
+    hists = [histogram_of(x, k) for x in enumerate_datasets(n, k)]
+    hist_list = enumerate_histograms(n, k)
+    for zi, z1 in enumerate(hist_list):
+        members = [i for i, h in enumerate(hists) if h == z1]
+        for zj, z2 in enumerate(hist_list):
+            total = sum(
+                full.rows[i][j] for i in members
+                for j, h in enumerate(hists) if h == z2
+            )
+            want = total / len(members)
+            assert reduced.rows[zi][zj] == want
+            assert krr_histogram_transition(z1, z2, p) == want
+
+
+def test_krr_reduced_float_mode_general_k():
+    exact = build_krr_reduced(3, 3, Fraction(3, 5))
+    approx = build_krr_reduced(3, 3, 0.6)
+    assert not approx.is_exact()
+    for erow, frow in zip(exact.rows, approx.rows):
+        assert all(abs(e - f) <= 1e-12 for e, f in zip(erow, frow))

@@ -1,6 +1,10 @@
+import contextlib
+import io
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rrshuffle.cli import main
 
@@ -274,3 +278,94 @@ def test_check_brown(capsys):
 def test_check_unknown_suite_usage_error(capsys):
     code, _, err = run(capsys, "check", "--suite", "nonsense")
     assert code == 1
+
+
+@pytest.mark.parametrize("epsilon", ["inf", "nan", "1e999"])
+def test_vuln_rejects_non_finite_epsilon(capsys, epsilon):
+    code, out, err = run(capsys, "vuln", "--mech", "krr-shuffle", "--n", "5",
+                         "--k", "3", "--epsilon", epsilon)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "epsilon" in err and "Traceback" not in err
+
+
+def test_check_takes_neither_exact_nor_cap(capsys):
+    for flag in (["--exact"], ["--cap", "1024"]):
+        code, _, err = run(capsys, "check", "--suite", "fastform", "--max-n", "2", *flag)
+        assert code == 1
+        assert "unrecognized arguments" in err
+
+
+# ---------------------------------------------------------------------------
+# no argv produces a traceback
+# ---------------------------------------------------------------------------
+
+# Each flag's values: (well-formed, hostile).
+SIZES = (["1", "2", "3"], ["-2", "0", "x", "1.5", "inf"])
+FLAG_VALUES = {
+    "--n": SIZES,
+    "--k": SIZES,
+    "--n-start": SIZES,
+    "--n-end": SIZES,
+    "--known-a": (["0", "1"], ["-1", "5", "x"]),
+    "--max-n": (["1", "2"], ["-1", "0"]),
+    "--n-step": (["1", "2"], ["-1", "0", "99999999999999999999"]),
+    "--cap": (["1024"], ["-1", "0", "8", "99999999999999999999"]),
+    "--p": (["0.75", "3/4", "1", "0.6"],
+            ["0.5", "0", "-0.5", "2", "1/0", "inf", "nan", "1e308", "1e-308", "x"]),
+    "--epsilon": (["0", "1", "2.5"], ["-1", "inf", "nan", "1000", "1e308", "1e999", "x"]),
+    "--mech": (["krr", "shuffle", "krr-shuffle"], ["laplace"]),
+    "--method": (["closed", "sum", "oracle", "approx"], ["magic"]),
+    "--kind": (["krr", "krr-reduced", "shuffle", "shuffle-reduced", "ns", "sn",
+                "ns-reduced"], ["rr"]),
+    "--suite": (["equivalence", "commute", "oracle", "brown", "fastform", "dpi"],
+                ["nonsense"]),
+}
+SWITCHES = ["--exact", "--sweep-known"]
+REQUIRED = {
+    "vuln": ["--mech", "--n"],
+    "sweep": ["--mech", "--n-start", "--n-end"],
+    "abo": ["--n"],
+    "channel": ["--kind", "--n"],
+    "check": ["--suite", "--max-n"],
+}
+OPTIONAL = {
+    "vuln": ["--k", "--method", "--p", "--epsilon", "--exact"],
+    "sweep": ["--mech", "--n-step", "--k", "--method", "--p", "--epsilon", "--exact"],
+    "abo": ["--known-a", "--sweep-known", "--p", "--epsilon", "--exact"],
+    "channel": ["--k", "--p", "--epsilon", "--cap", "--exact"],
+    "check": [],
+}
+
+
+@st.composite
+def argvs(draw):
+    """Mostly well-formed commands, a quarter of the values hostile, now
+    and then a missing required flag, a stray flag or an unknown command."""
+    command = draw(st.sampled_from(sorted(REQUIRED)))
+    flags = [f for f in REQUIRED[command] if draw(st.integers(0, 9))]
+    if OPTIONAL[command]:
+        flags += draw(st.lists(st.sampled_from(OPTIONAL[command]), max_size=4,
+                               unique=True))
+    if not draw(st.integers(0, 9)):
+        flags.append(draw(st.sampled_from(sorted(FLAG_VALUES) + SWITCHES)))
+    argv = [command if draw(st.integers(0, 19)) else "nope"]
+    for flag in flags:
+        argv.append(flag)
+        if flag in FLAG_VALUES:
+            good, bad = FLAG_VALUES[flag]
+            argv.append(draw(st.sampled_from(good if draw(st.integers(0, 3)) else bad)))
+    if command == "check" and "--max-n" not in flags:
+        argv += ["--max-n", "1"]  # the default max-n runs for tens of seconds
+    return argv
+
+
+@given(argvs())
+@settings(max_examples=300, deadline=None)
+def test_no_argv_raises(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    if code:
+        assert err.getvalue().startswith("error:")

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from rrshuffle.channels import CapExceededError
+from rrshuffle.channels import CapExceededError, enumerate_histograms
 from rrshuffle.combinatorics import krr_histogram_transition
 from rrshuffle.oracle import (
     ORACLE_CAP,
@@ -88,3 +88,33 @@ def test_oracle_histogram_transition_validation():
         oracle_histogram_transition((0, 1), (1, 2), Fraction(3, 4))
     with pytest.raises(ValueError, match="rational-only"):
         oracle_histogram_transition((0, 1), (1, 1), 0.75)
+
+
+@pytest.mark.parametrize("k, max_n", [(3, 4), (4, 3)])
+def test_general_k_histogram_transition_matches_oracle(k, max_n):
+    for p in (Fraction(1, k), Fraction(3, 5), Fraction(1)):
+        for n in range(1, max_n + 1):
+            hists = enumerate_histograms(n, k)
+            for z_in in hists:
+                x = tuple(v for v, count in enumerate(z_in) for _ in range(count))
+                for z_out in hists:
+                    assert krr_histogram_transition(z_in, z_out, p) == (
+                        oracle_histogram_transition(x, z_out, p)
+                    )
+
+
+def test_general_k_histogram_transition_forms_and_modes():
+    # the two-letter call forms agree
+    assert krr_histogram_transition((2, 1), (1, 2), Fraction(3, 4)) == (
+        krr_histogram_transition(2, 1, 1, 2, Fraction(3, 4))
+    )
+    exact = krr_histogram_transition((2, 1, 1), (1, 1, 2), Fraction(3, 5))
+    approx = krr_histogram_transition((2, 1, 1), (1, 1, 2), 0.6)
+    assert isinstance(exact, Fraction)
+    assert abs(approx - exact) <= 1e-12
+    with pytest.raises(ValueError, match="count-sum mismatch"):
+        krr_histogram_transition((2, 1, 1), (1, 1, 1), Fraction(3, 5))
+    with pytest.raises(ValueError, match="same length"):
+        krr_histogram_transition((2, 1, 1), (3, 1), Fraction(3, 5))
+    with pytest.raises(ValueError, match="must lie in"):
+        krr_histogram_transition((2, 1, 1), (1, 1, 2), Fraction(1, 4))
