@@ -5,13 +5,15 @@ explicit row/column labels.  Secrets here are datasets (tuples of n
 attribute values from a k-letter alphabet, position 0 being the target
 individual) and observables are either datasets or histograms.
 
-Representation.  An exact channel holds integer numerators ``num`` over
-one shared denominator ``den``, kept reduced: the gcd of ``den`` and
-every numerator is 1, so ``==`` and ``hash`` compare values.  Exactness
-is the field ``den`` (``None`` for a float channel), a row is valid when
-its numerators are non-negative and sum to ``den``, and the algebra
-below (cascade, canonical form, posterior sums) runs on the integers and
-divides once.  A float channel holds its binary64 rows as given.
+Representation.  A channel holds its rows in ``num``: integer
+numerators over one shared denominator ``den`` for an exact channel,
+kept reduced (the gcd of ``den`` and every numerator is 1, so ``==`` and
+``hash`` compare values), or binary64 entries with ``den`` None for a
+float channel.  Both kinds run the same algebra below (cascade,
+canonical form, posterior sums); only two things depend on the kind: a
+row is valid when its entries are non-negative and sum to ``den``
+exactly, or to 1 within ``FLOAT_TOL``; and a result is divided once by
+its denominator, or read as binary64.
 ``Channel(row_labels, col_labels, rows)`` accepts either kind of rows:
 rows whose entries are all rationals (``Fraction`` or ``int``) make an
 exact channel.  ``rows`` reads probabilities in both cases; for an exact
@@ -130,7 +132,7 @@ class Channel:
     """Row-stochastic labeled matrix of conditional probabilities.
 
     Exact: integer rows ``num`` over the shared denominator ``den``.
-    Float: binary64 ``rows``, with ``num`` and ``den`` set to None.
+    Float: binary64 rows ``num``, with ``den`` None.
     """
 
     __slots__ = ("row_labels", "col_labels", "num", "den", "_rows")
@@ -139,12 +141,12 @@ class Channel:
         rows = tuple(tuple(row) for row in rows)
         if all(all_exact(row) for row in rows):
             den = math.lcm(*{e.denominator for row in rows for e in row})
-            num = tuple(
+            rows = tuple(
                 tuple(e.numerator * (den // e.denominator) for e in row) for row in rows
             )
-            self._fill(row_labels, col_labels, num, den, None)
         else:
-            self._fill(row_labels, col_labels, None, None, rows)
+            den = None
+        self._fill(row_labels, col_labels, rows, den)
         self.__post_init__()
 
     @classmethod
@@ -166,14 +168,14 @@ class Channel:
                     reduced[id(row)] = tuple(v // g for v in row)
             num = [reduced[id(row)] for row in num]
         self = object.__new__(cls)
-        self._fill(row_labels, col_labels, tuple(num), den, None)
+        self._fill(row_labels, col_labels, tuple(num), den)
         self.__post_init__()
         return self
 
-    def _fill(self, row_labels, col_labels, num, den, rows):
+    def _fill(self, row_labels, col_labels, num, den):
         for name, value in (("row_labels", tuple(row_labels)),
                             ("col_labels", tuple(col_labels)),
-                            ("num", num), ("den", den), ("_rows", rows)):
+                            ("num", num), ("den", den), ("_rows", None)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -183,47 +185,33 @@ class Channel:
         raise AttributeError("Channel is immutable")
 
     def __reduce__(self):
-        if self.den is None:
-            return (Channel, (self.row_labels, self.col_labels, self._rows))
-        return (Channel._exact, (self.row_labels, self.col_labels, self.num, self.den))
+        return (_channel, (self.row_labels, self.col_labels, self.num, self.den))
 
     def __post_init__(self):
         if len(set(self.row_labels)) != len(self.row_labels):
             raise ValueError("duplicate row labels")
         if len(set(self.col_labels)) != len(self.col_labels):
             raise ValueError("duplicate column labels")
-        ncols = len(self.col_labels)
-        if self.den is not None:
-            if len(self.num) != len(self.row_labels):
-                raise ValueError("row count does not match row labels")
-            if self.den < 1:
-                raise ValueError("denominator must be positive")
-            for label, row in zip(self.row_labels, self.num):
-                if len(row) != ncols:
-                    raise ValueError("row %r has wrong width" % label)
-                if row and min(row) < 0:
-                    raise ValueError("negative entry in row %r" % label)
-                if sum(row) != self.den:
-                    raise ValueError("row %r sums to %s, not 1"
-                                     % (label, Fraction(sum(row), self.den)))
-            return
-        if len(self._rows) != len(self.row_labels):
+        if len(self.num) != len(self.row_labels):
             raise ValueError("row count does not match row labels")
-        for label, row in zip(self.row_labels, self._rows):
+        den, ncols = self.den, len(self.col_labels)
+        if den is not None and den < 1:
+            raise ValueError("denominator must be positive")
+        for label, row in zip(self.row_labels, self.num):
             if len(row) != ncols:
                 raise ValueError("row %r has wrong width" % label)
-            if any(e < 0 for e in row):
+            if row and min(row) < 0:
                 raise ValueError("negative entry in row %r" % label)
             total = sum(row)
-            if all_exact(row):
-                if total != 1:
-                    raise ValueError("row %r sums to %s, not 1" % (label, total))
-            elif abs(total - 1) > FLOAT_TOL:
-                raise ValueError("row %r sums to %r, not 1" % (label, total))
+            if (total != den) if den is not None else (abs(total - 1) > FLOAT_TOL):
+                raise ValueError("row %r sums to %s, not 1"
+                                 % (label, total if den is None else Fraction(total, den)))
 
     @property
     def rows(self) -> tuple[tuple[Scalar, ...], ...]:
         """The entries as probabilities (``Fraction`` for an exact channel)."""
+        if self.den is None:
+            return self.num
         if self._rows is None:
             den = self.den
             built: dict[int, tuple[Fraction, ...]] = {}
@@ -234,8 +222,7 @@ class Channel:
         return self._rows
 
     def _key(self):
-        body = self._rows if self.den is None else self.num
-        return (self.row_labels, self.col_labels, self.den, body)
+        return (self.row_labels, self.col_labels, self.den, self.num)
 
     def __eq__(self, other):
         if not isinstance(other, Channel):
@@ -256,9 +243,8 @@ class Channel:
     def entry(self, row_label: str, col_label: str) -> Scalar:
         i = self.row_labels.index(row_label)
         j = self.col_labels.index(col_label)
-        if self.den is None:
-            return self._rows[i][j]
-        return Fraction(self.num[i][j], self.den)
+        v = self.num[i][j]
+        return v if self.den is None else Fraction(v, self.den)
 
     def is_exact(self) -> bool:
         return self.den is not None
@@ -270,15 +256,14 @@ class Channel:
         ``exact`` is set.  Labels are alphanumeric/colon so no quoting
         is needed; lines end with LF.
         """
-        if self.den is None:
-            rows = self._rows
+        rows, den = self.num, self.den
+        if den is None:
 
             def fmt(e: Scalar) -> str:
                 if exact:
                     return str(Fraction(e)) if is_exact(e) else repr(e)
                 return repr(float(e))
         else:
-            rows, den = self.num, self.den
 
             def fmt(v: int) -> str:
                 if not exact:
@@ -436,7 +421,8 @@ def cascade(first: Channel, second: Channel) -> Channel:
     Ordinary matrix multiplication; requires the output labels of
     ``first`` to be exactly the input labels of ``second``.  Exact
     channels multiply their integer rows over the denominator
-    ``first.den * second.den``; otherwise the product is in binary64.
+    ``first.den * second.den``; otherwise the same product runs in
+    binary64, an exact factor read as correctly rounded floats.
     """
     if first.col_labels != second.row_labels:
         raise CascadeTypeError(
@@ -449,34 +435,35 @@ def cascade(first: Channel, second: Channel) -> Channel:
                 second.row_labels[0] if second.row_labels else "",
             )
         )
+    ncols = len(second.col_labels)
     if first.is_exact() and second.is_exact():
-        rows = _matmul_exact(first.num, second.num, len(second.col_labels))
+        rows = _matmul(first.num, second.num, ncols, 0)
         return Channel._exact(first.row_labels, second.col_labels, rows,
                               first.den * second.den)
-    rows = _matmul_float(_float_rows(first), _float_rows(second))
+    rows = _matmul(_binary64(first), _binary64(second), ncols, 0.0)
     return Channel(first.row_labels, second.col_labels, rows)
 
 
-def _matmul_exact(A, B, ncols: int) -> list[tuple[int, ...]]:
-    """Sparse integer product A B.
+def _matmul(A, B, ncols: int, zero) -> list[tuple]:
+    """Sparse product A B, its entries starting from ``zero``.
 
     Equal rows of B (all rows of one shuffle class) are handled once:
     the entries of a row of A over them are summed first.  Equal rows
     of A give one shared product row.
     """
-    groups: dict[tuple[int, ...], list[int]] = {}
+    groups: dict[tuple, list[int]] = {}
     for i, brow in enumerate(B):
         groups.setdefault(brow, []).append(i)
     plan = [
         (members, [(j, v) for j, v in enumerate(brow) if v])
         for brow, members in groups.items()
     ]
-    products: dict[tuple[int, ...], tuple[int, ...]] = {}
+    products: dict[tuple, tuple] = {}
     out = []
     for arow in A:
         product = products.get(arow)
         if product is None:
-            acc = [0] * ncols
+            acc = [zero] * ncols
             for members, nonzero in plan:
                 w = sum(map(arow.__getitem__, members))
                 if w:
@@ -487,28 +474,12 @@ def _matmul_exact(A, B, ncols: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _float_rows(channel: Channel):
+def _binary64(channel: Channel):
     """Rows as binary64; an exact entry becomes its correctly rounded float."""
     if channel.den is None:
-        return channel.rows
+        return channel.num
     den = channel.den
-    return [[v / den for v in row] for row in channel.num]
-
-
-def _matmul_float(A, B) -> list[list[Scalar]]:
-    ncols = len(B[0])
-    out = []
-    for arow in A:
-        acc = [0.0] * ncols
-        for i, a in enumerate(arow):
-            if not a:
-                continue
-            brow = B[i]
-            for j in range(ncols):
-                if brow[j]:
-                    acc[j] += a * brow[j]
-        out.append(acc)
-    return out
+    return [tuple(v / den for v in row) for row in channel.num]
 
 
 def identity_channel(labels: tuple[str, ...]) -> Channel:
@@ -537,77 +508,89 @@ class CanonicalChannel:
 
     def __post_init__(self):
         total = sum(outer for outer, _ in self.columns)
-        if all_exact(outer for outer, _ in self.columns):
-            if self.columns and total != 1:
-                raise ValueError("outer probabilities sum to %s, not 1" % total)
-        elif abs(total - 1) > FLOAT_TOL:
-            raise ValueError("outer probabilities sum to %r, not 1" % total)
+        if self.columns and not close(total, 1):
+            raise ValueError("outer probabilities sum to %s, not 1" % total)
 
 
 def canonicalize(channel: Channel) -> CanonicalChannel:
-    """Merge proportional columns, drop zero columns, normalize and sort."""
+    """Group the nonzero columns by their normalized posterior, sum each
+    class's mass into its outer probability, and sort.
+
+    Columns are read one at a time.  Exact columns fall in one class
+    when their primitive integer vectors (the column over its gcd) are
+    equal; float columns when their posteriors, column / column sum,
+    agree entrywise within ``FLOAT_TOL``.
+    """
+    columns = zip(*channel.num)
     nrows = len(channel.row_labels)
-    if channel.is_exact():
-        # Two columns are proportional exactly when their primitive
-        # integer vectors (the column divided by its gcd) are equal.
-        merged: dict[tuple[int, ...], int] = {}  # primitive column -> mass
-        for col in zip(*channel.num):
-            g = math.gcd(*col)
-            if g == 0:
-                continue
+    if channel.den is None:
+        classes = [(mass / nrows, posterior)
+                   for posterior, mass in _float_classes(columns)]
+    else:
+        scale = channel.den * nrows
+        classes = [(Fraction(mass, scale), posterior)
+                   for posterior, mass in _exact_classes(columns)]
+    return CanonicalChannel(channel.row_labels, tuple(sorted(classes)))
+
+
+def _exact_classes(columns):
+    """(posterior, summed integer mass) for each primitive column."""
+    merged: dict[tuple[int, ...], int] = {}
+    for col in columns:
+        g = math.gcd(*col)
+        if g:
             key = col if g == 1 else tuple(v // g for v in col)
             merged[key] = merged.get(key, 0) + sum(col)
-        scale = channel.den * nrows
-        columns = []
-        for key, mass in merged.items():
-            total = sum(key)
-            columns.append((Fraction(mass, scale), tuple(Fraction(v, total) for v in key)))
-        return CanonicalChannel(channel.row_labels, tuple(sorted(columns)))
+    for key, mass in merged.items():
+        total = sum(key)
+        yield tuple(Fraction(v, total) for v in key), mass
 
-    # Float mode: group by the cross-multiplication proportionality test
-    # |u * sum(v) - v * sum(u)|_inf <= FLOAT_TOL on the raw columns.
-    cols = list(zip(*channel.rows)) if channel.rows else []
-    reps: list[list] = []  # [raw column, column sum, accumulated outer]
-    for col in cols:
-        colsum = sum(col)
-        if colsum == 0:
-            continue
-        for rep in reps:
-            rcol, rsum, _ = rep
-            if all(
-                abs(u * rsum - v * colsum) <= FLOAT_TOL for u, v in zip(col, rcol)
-            ):
-                rep[2] += colsum / nrows
-                break
+
+def _float_classes(columns) -> list[list]:
+    """[posterior, summed mass] for each class of float posteriors.
+
+    Equal posteriors are merged by hashing.  The distinct ones are then
+    taken in lexicographic order, each joining the latest earlier class
+    whose posterior is within ``FLOAT_TOL`` entrywise; only classes whose
+    first entry is within ``FLOAT_TOL`` of its own are candidates.
+    """
+    merged: dict[tuple[float, ...], float] = {}
+    for col in columns:
+        total = sum(col)
+        if total:
+            key = tuple(e / total for e in col)
+            merged[key] = merged.get(key, 0.0) + total
+    classes: list[list] = []
+    for key in sorted(merged):
+        near = itertools.takewhile(lambda c: c[0][0] >= key[0] - FLOAT_TOL,
+                                   reversed(classes))
+        match = next((c for c in near if all(map(close, c[0], key))), None)
+        if match is None:
+            classes.append([key, merged[key]])
         else:
-            reps.append([col, colsum, colsum / nrows])
-    columns = tuple(
-        sorted(
-            (outer, tuple(e / rsum for e in rcol))
-            for rcol, rsum, outer in reps
-        )
-    )
-    return CanonicalChannel(channel.row_labels, columns)
+            match[1] += merged[key]
+    return classes
 
 
 def equivalent(a: Channel, b: Channel) -> bool:
-    """Leakage equivalence, decided by canonical-form equality.
+    """Leakage equivalence: the classes of the two canonical forms match
+    one to one, outer probability and posterior entrywise.
 
-    Exact when both channels are rational; entrywise within 1e-9
-    otherwise.  The channels must share their secret (row) labels.
+    Entries are compared with :func:`close`: exactly when both are
+    rational, within ``FLOAT_TOL`` otherwise, so two exact forms must be
+    equal.  The channels must share their secret (row) labels.
     """
     if a.row_labels != b.row_labels:
         raise ValueError("channels have different secret labels")
-    ca, cb = canonicalize(a), canonicalize(b)
-    if a.is_exact() and b.is_exact():
-        return ca == cb
-    if len(ca.columns) != len(cb.columns):
+    columns, rest = canonicalize(a).columns, list(canonicalize(b).columns)
+    if len(columns) != len(rest):
         return False
-    for (oa, pa), (ob, pb) in zip(ca.columns, cb.columns):
-        if not close(oa, ob):
+    for outer, posterior in columns:
+        match = next((i for i, (o, q) in enumerate(rest)
+                      if close(outer, o) and all(map(close, posterior, q))), None)
+        if match is None:
             return False
-        if any(not close(ea, eb) for ea, eb in zip(pa, pb)):
-            return False
+        del rest[match]
     return True
 
 

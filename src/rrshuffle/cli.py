@@ -203,6 +203,8 @@ def cmd_vuln(args) -> int:
 def cmd_sweep(args) -> int:
     if args.n_step < 1:
         raise UsageError("--n-step must be positive")
+    if args.n_start > args.n_end:
+        raise UsageError("--n-start must not exceed --n-end")
     p_list = _resolve_p_list(args, args.k)
     mechs = sorted(set(args.mech))
     if any(m != "shuffle" for m in mechs) and not p_list:
@@ -304,6 +306,9 @@ def main(argv=None) -> int:
         return 1
     except CapExceededError as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        print("error: binary64 overflow (%s); rerun with --exact" % exc, file=sys.stderr)
         return 2
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)

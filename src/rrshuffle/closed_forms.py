@@ -19,7 +19,6 @@ from typing import Iterator, Literal, NamedTuple, Optional
 from .combinatorics import (
     IntegerPartition,
     binomial,
-    log_multinomial,
     multinomial,
     partitions,
 )
@@ -73,8 +72,7 @@ def v_post_shuffle_binary_sum(n: int) -> Fraction:
     (1/2^n) sum_i C(n,i) max(i, n-i)/n."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    total = sum(binomial(n, i) * max(i, n - i) for i in range(n + 1))
-    return Fraction(total, 2**n * n)
+    return _score_sum(n, 2, 1, _binary_terms(n))
 
 
 def v_post_shuffle_binary_fast(n: int) -> Fraction:
@@ -91,18 +89,36 @@ def v_post_ns_binary_sum(n: int, p: Scalar) -> Scalar:
     if n < 1:
         raise ValueError("n must be at least 1")
     require_probability(p, Fraction(1, 2))
-    if is_exact(p):
-        p = Fraction(p)
-        total = sum(
-            binomial(n, i) * (max(i, n - i) * p + min(i, n - i) * (1 - p))
-            for i in range(n + 1)
-        )
-        return total / (Fraction(2) ** n * n)
-    total = 0.0
+    value = _score_sum(n, 2, p, _binary_terms(n))
+    return value if is_exact(p) else float(value)
+
+
+def _binary_terms(n: int) -> Iterator[tuple[int, int]]:
+    """(C(n, i), max(i, n - i)) for i = 0..n, the binomials by recurrence."""
+    count = 1
     for i in range(n + 1):
-        weight = float(Fraction(binomial(n, i), 2**n))
-        total += weight * (max(i, n - i) * p + min(i, n - i) * (1 - p)) / n
-    return total
+        yield count, max(i, n - i)
+        count = count * (n - i) // (i + 1)
+
+
+def _score_sum(n: int, k: int, p: Scalar, terms) -> Fraction:
+    """The direct sum of the single-target score over histograms:
+    sum count (top p + (n - top)(1 - p)/(k - 1)) / (n sum count), over
+    the (count, top) pairs of ``terms``, top being the histogram's
+    largest bin.
+
+    The counts are summed as integers in one pass (count times top,
+    count times n - top, and count) and divided once, exactly.  A float
+    p is read as the rational it denotes, so a float result is this
+    value rounded once.
+    """
+    top_mass = rest_mass = total = 0
+    for count, top in terms:
+        top_mass += count * top
+        rest_mass += count * (n - top)
+        total += count
+    q = Fraction(p)
+    return (q * top_mass + (1 - q) * Fraction(rest_mass, k - 1)) / (total * n)
 
 
 def v_post_ns_binary_fast(n: int, p: Scalar) -> Scalar:
@@ -127,13 +143,6 @@ def _partition_coefficient(n: int, k: int, part: IntegerPartition) -> int:
     labelings: multinomial(n; parts) * multinomial(k; multiplicities, k - l)."""
     counts = [c for _, c in part.multiplicities]
     return multinomial(n, part.parts) * multinomial(k, counts + [k - part.length])
-
-
-def _log_partition_coefficient(n: int, k: int, part: IntegerPartition) -> float:
-    counts = [c for _, c in part.multiplicities]
-    return log_multinomial(n, part.parts) + log_multinomial(
-        k, counts + [k - part.length]
-    )
 
 
 def _compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:
@@ -305,21 +314,11 @@ def v_post_ns_general(
     if method != "partition":
         raise ValueError("method must be 'relation' or 'partition'")
 
-    if use_exact:
-        p = Fraction(p)
-        total = Fraction(0)
-        for lam in partitions(n, k):
-            score = lam.max_part * p + (n - lam.max_part) * (1 - p) / (k - 1)
-            total += _partition_coefficient(n, k, lam) * score
-        return total / (Fraction(k) ** n * n)
-
-    p = float(p)
-    log_norm = n * math.log(k) + math.log(n)
-    return math.fsum(
-        math.exp(_log_partition_coefficient(n, k, lam) - log_norm)
-        * (lam.max_part * p + (n - lam.max_part) * (1 - p) / (k - 1))
-        for lam in partitions(n, k)
+    value = _score_sum(
+        n, k, p,
+        ((_partition_coefficient(n, k, lam), lam.max_part) for lam in partitions(n, k)),
     )
+    return value if use_exact else float(value)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,14 @@ from rrshuffle.channels import (
     verify_ldp,
 )
 from rrshuffle.combinatorics import krr_histogram_transition
+from rrshuffle.scalars import FLOAT_TOL
+from rrshuffle.vulnerability import (
+    GainFunction,
+    Prior,
+    canonical_posterior_vulnerability,
+    posterior_vulnerability,
+    single_target_gain,
+)
 
 P = Fraction(3, 4)
 PBAR = 1 - P
@@ -519,3 +527,88 @@ def test_krr_reduced_float_mode_general_k():
     assert not approx.is_exact()
     for erow, frow in zip(exact.rows, approx.rows):
         assert all(abs(e - f) <= 1e-12 for e, f in zip(erow, frow))
+
+
+# ---------------------------------------------------------------------------
+# float channels run the exact channels' code: checked against it
+# ---------------------------------------------------------------------------
+
+
+def as_float(chan):
+    return Channel(chan.row_labels, chan.col_labels,
+                   [[float(e) for e in row] for row in chan.rows])
+
+
+def split_column(chan, j):
+    """The channel with column j split into two proportional halves."""
+    rows = [row[:j] + (row[j] / 2, row[j] / 2) + row[j + 1:] for row in chan.rows]
+    labels = chan.col_labels[:j] + ("half0", "half1") + chan.col_labels[j + 1:]
+    return Channel(chan.row_labels, labels, rows)
+
+
+@st.composite
+def float_vs_exact_case(draw):
+    first, second = draw(cascadable_pair())
+    m = len(first.row_labels)
+    other = Channel(first.row_labels, ("w0", "w1", "w2"), draw(rational_rows(m, 3)))
+    gains = tuple(tuple(draw(st.integers(0, 3)) for _ in range(m))
+                  for _ in range(draw(st.integers(1, 3))))
+    return first, second, other, gains, draw(st.integers(0, len(first.col_labels) - 1))
+
+
+@given(float_vs_exact_case())
+@settings(max_examples=150, deadline=None)
+def test_float_channels_agree_with_exact_within_tolerance(case):
+    first, second, other, gains, j = case
+    gain = GainFunction(tuple("g%d" % i for i in range(len(gains))),
+                        first.row_labels, gains)
+    product = cascade(first, second)
+    float_product = cascade(as_float(first), as_float(second))
+    assert not float_product.is_exact()
+    for erow, frow in zip(product.rows, float_product.rows):
+        assert all(isinstance(f, float) and abs(e - f) <= FLOAT_TOL
+                   for e, f in zip(erow, frow))
+    for chan in (first, product, other):
+        uniform = Prior.uniform(chan.row_labels)
+        want = posterior_vulnerability(uniform, gain, chan)
+        floating = as_float(chan)
+        got = posterior_vulnerability(Prior.uniform(chan.row_labels, exact=False),
+                                      gain, floating)
+        assert isinstance(got, float) and abs(got - want) <= FLOAT_TOL
+        canonical = canonical_posterior_vulnerability(canonicalize(floating), gain)
+        assert abs(canonical - want) <= FLOAT_TOL
+    for a, b in ((first, split_column(first, j)), (first, other), (first, product)):
+        assert equivalent(as_float(a), as_float(b)) == equivalent(a, b)
+    assert equivalent(as_float(first), as_float(split_column(first, j)))
+
+
+def test_float_canonical_form_keeps_small_entries_apart():
+    # Two float 2 x 200000 channels whose entries all lie below 3e-5: one
+    # with posteriors (3/4, 1/4) and (1/4, 3/4), V = 3/4; one with both
+    # rows uniform, V = 1/2.
+    half = 100_000
+    hi, lo = 0.75 / half, 0.25 / half
+    leaky = Channel(("a", "b"), ["y%d" % j for j in range(2 * half)],
+                    ([hi] * half + [lo] * half, [lo] * half + [hi] * half))
+    blind = Channel(("a", "b"), leaky.col_labels, ([0.5 / half] * (2 * half),) * 2)
+    gain = single_target_gain(1, 2)
+    uniform = Prior.uniform(("a", "b"), exact=False)
+    assert not equivalent(leaky, blind)
+    for chan, want, classes in ((leaky, 0.75, 2), (blind, 0.5, 1)):
+        canon = canonicalize(chan)
+        assert len(canon.columns) == classes
+        direct = posterior_vulnerability(uniform, gain, chan)
+        assert abs(direct - want) <= FLOAT_TOL
+        assert abs(canonical_posterior_vulnerability(canon, gain) - direct) <= FLOAT_TOL
+
+
+@pytest.mark.parametrize("p", [Fraction(33, 64), Fraction(35, 64),
+                               Fraction(37, 64), Fraction(39, 64)])
+def test_float_noise_shuffle_equivalent_to_reduced_k3_n3(p):
+    # Two classes share the outer probability 1/9 here, so their order
+    # in the canonical forms depends on rounding.
+    noise = build_krr(3, 3, float(p))
+    ns = cascade(noise, build_shuffle_full(3, 3))
+    nsr = cascade(noise, build_shuffle_reduced(3, 3))
+    assert equivalent(ns, nsr)
+    assert equivalent(nsr, ns)

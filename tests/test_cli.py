@@ -129,11 +129,12 @@ def test_sweep_shuffle_has_blank_p(capsys):
     assert float(lines[1].split(",")[5]) == 0.75
 
 
-def test_sweep_empty_range_header_only(capsys):
-    code, out, _ = run(capsys, "sweep", "--mech", "shuffle",
-                       "--n-start", "5", "--n-end", "4")
-    assert code == 0
-    assert out == "mechanism,n,k,p,method,posterior_v\n"
+def test_sweep_reversed_range_is_usage_error(capsys):
+    code, out, err = run(capsys, "sweep", "--mech", "shuffle",
+                         "--n-start", "5", "--n-end", "4")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "--n-start" in err
 
 
 def test_sweep_deterministic_output(capsys, tmp_path):
@@ -194,6 +195,13 @@ def test_abo_sweep_csv(capsys):
     assert len(lines) == 1 + 2 * 11
     assert lines[1].split(",")[0] == "0.0"
     assert lines[11].split(",")[0] == "1.0"
+
+
+def test_abo_float_overflow_suggests_exact(capsys):
+    code, out, err = run(capsys, "abo", "--n", "1200", "--known-a", "600", "--p", "0.8")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "--exact" in err
 
 
 # ---------------------------------------------------------------------------

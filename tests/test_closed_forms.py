@@ -93,6 +93,24 @@ def test_binary_float_mode():
     assert v_post_ns_binary_sum(30, 0.8) == pytest.approx(float(exact), abs=1e-12)
 
 
+def test_float_reference_sums_are_the_exact_sums_rounded_once():
+    # A float p is read as the rational it denotes; the float result is
+    # that exact value rounded once.
+    for n, p in ((1, 0.8), (30, 0.8), (201, 0.55), (1000, 0.9)):
+        assert v_post_ns_binary_sum(n, p) == float(v_post_ns_binary_sum(n, Fraction(p)))
+    for n, k, p in ((12, 3, 0.7), (9, 5, 0.45)):
+        exact = v_post_ns_general(n, k, Fraction(p), method="partition", exact=True)
+        floating = v_post_ns_general(n, k, p, method="partition", exact=False)
+        assert isinstance(floating, float) and floating == float(exact)
+
+
+def test_binary_sum_float_at_n_10000_matches_fast_form():
+    n, p = 10_000, 0.75
+    floating = v_post_ns_binary_sum(n, p)
+    assert isinstance(floating, float)
+    assert abs(floating - v_post_ns_binary_fast(n, p)) <= FLOAT_TOL
+
+
 def test_monotone_pairwise_decrease():
     for p in (Fraction(3, 5), Fraction(3, 4), Fraction(9, 10), Fraction(1)):
         values = [v_post_ns_binary_fast(n, p) for n in range(1, 65)]
@@ -270,16 +288,6 @@ def test_approx_ns_zero_deviation_at_uniform_noise():
     for n in (10, 1000):
         got = v_approx_ns(n, 2, Fraction(1, 2))
         assert got.value == 0.5
-
-
-def test_approx_error_shrinks_with_n():
-    for k in (4, 5):
-        diffs = []
-        for n in (25, 50, 100, 200):
-            exact = v_post_shuffle_general(n, k)
-            diffs.append(abs(v_approx_shuffle(n, k).value - exact))
-        assert all(a >= b for a, b in zip(diffs, diffs[1:]))
-        assert diffs[-1] < 0.01
 
 
 def test_approx_ns_tracks_scaled_deviation():
