@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .combinatorics import transfer_tables
+from .combinatorics import match_weights, transition_sum
 from .scalars import FLOAT_TOL, Scalar, all_exact, close, is_exact, require_probability
 
 #: Default bound on k**n for full (dataset-indexed) channel construction.
@@ -290,23 +290,6 @@ def _channel(row_labels, col_labels, rows, den) -> Channel:
 # ---------------------------------------------------------------------------
 
 
-def _match_weights(n: int, k: int, p: Scalar):
-    """Probability that per-record noise maps a dataset to one given
-    dataset agreeing with it in m positions, for m = 0..n.
-
-    For a rational p = a/b these are integers over the denominator
-    (b (k-1))**n: a**m (k-1)**m (b-a)**(n-m).  For a float p they are
-    floats and the denominator is None.
-    """
-    if is_exact(p):
-        p = Fraction(p)
-        a, b = p.numerator, p.denominator
-        stay, move = a * (k - 1), b - a
-        return [stay**m * move ** (n - m) for m in range(n + 1)], (b * (k - 1)) ** n
-    off = (1 - p) / (k - 1)
-    return [p**m * off ** (n - m) for m in range(n + 1)], None
-
-
 def _match_counts(n: int, k: int) -> list[tuple[int, ...]]:
     """Row x, column y: the number of positions where datasets x and y
     agree, in the order of :func:`enumerate_datasets`."""
@@ -332,7 +315,7 @@ def build_krr(n: int, k: int, p: Scalar, cap: int = DEFAULT_CAP) -> Channel:
     _check_p(p, k)
     _check_cap(n, k, cap)
     labels = tuple(dataset_label(x, k) for x in enumerate_datasets(n, k))
-    weights, den = _match_weights(n, k, p)
+    weights, den = match_weights(n, k, p)
     rows = [tuple(map(weights.__getitem__, counts)) for counts in _match_counts(n, k)]
     return _channel(labels, labels, rows, den)
 
@@ -399,14 +382,9 @@ def build_krr_reduced(n: int, k: int, p: Scalar) -> Channel:
     _check_p(p, k)
     hist_list = enumerate_histograms(n, k)
     labels = tuple(histogram_label(h, k) for h in hist_list)
-    weights, den = _match_weights(n, k, p)
-    rows = [
-        tuple(
-            sum(ways * weights[kept] for ways, kept in transfer_tables(z1, z2))
-            for z2 in hist_list
-        )
-        for z1 in hist_list
-    ]
+    weights, den = match_weights(n, k, p)
+    rows = [tuple(transition_sum(z1, z2, weights) for z2 in hist_list)
+            for z1 in hist_list]
     return _channel(labels, labels, rows, den)
 
 

@@ -10,6 +10,7 @@ exceeded, 3 check-suite failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 
@@ -62,7 +63,9 @@ def _p_flags(sub: argparse.ArgumentParser, plural: bool = False):
                            help="privacy parameter, converted to p")
 
 
+@functools.cache
 def build_parser() -> Parser:
+    """The command-line parser, built once per process."""
     parser = Parser(prog="rrshuffle",
                     description="Leakage analysis of randomized response and shuffling")
     subs = parser.add_subparsers(dest="command", required=True)

@@ -144,9 +144,18 @@ def transfer_tables(z_in: Sequence[int], z_out: Sequence[int]) -> Iterator[tuple
     reports the table stands for, and ``kept`` = trace(T) the number of
     records that kept their value.  Tables come row by row, each row in
     increasing lexicographic order; the last row is what the column
-    sums leave over.
+    sums leave over.  With two letters a table has one free count, the
+    a-records that stayed an 'a', and a plain loop over it yields the
+    same pairs in the same order.
     """
     k = len(z_in)
+    if k == 2:
+        (a_in, b_in), (a_out, b_out) = z_in, z_out
+        return (
+            (math.comb(a_in, stay) * math.comb(b_in, b_out - a_in + stay),
+             2 * stay + b_out - a_in)
+            for stay in range(max(0, a_in - b_out), min(a_in, a_out) + 1)
+        )
 
     def rows(i: int, room: tuple[int, ...]) -> Iterator[tuple[int, int]]:
         if i == k - 1:
@@ -164,29 +173,45 @@ def transfer_tables(z_in: Sequence[int], z_out: Sequence[int]) -> Iterator[tuple
     return rows(0, tuple(z_out))
 
 
-def krr_histogram_transition(*args) -> Scalar:
-    """Probability that per-record k-ary randomized response turns an
-    input with histogram z_in into an output with histogram z_out.
+def match_weights(n: int, k: int, p: Scalar):
+    """Probability that per-record k-ary randomized response maps a
+    dataset to one given dataset agreeing with it in m positions, for
+    m = 0..n: p**m ((1-p)/(k-1))**(n-m).
 
-    Called as ``(z_in, z_out, p)`` with two length-k count vectors, or
-    for two letters as ``(n_a_in, n_b_in, n_a_out, n_b_out, p)``.  Each
-    record independently keeps its value with probability p and moves
-    to each other value with probability (1-p)/(k-1).  The sum runs over
-    the transfer tables of :func:`transfer_tables`: a table with
-    ``kept`` records kept stands for ``ways`` reports of probability
-    p**kept ((1-p)/(k-1))**(n-kept) each.  Exact when p is rational.
+    For a rational p = a/b these are integers over the denominator
+    (b (k-1))**n: (a (k-1))**m (b-a)**(n-m).  For a float p they are
+    binary64 and the denominator is None.
     """
-    if len(args) == 5:
-        return _binary_transition(*args)
-    if len(args) != 3:
-        raise TypeError("expected (z_in, z_out, p) or "
-                        "(n_a_in, n_b_in, n_a_out, n_b_out, p)")
-    z_in, z_out, p = args
+    if is_exact(p):
+        p = Fraction(p)
+        a, b = p.numerator, p.denominator
+        stay, move = a * (k - 1), b - a
+        return [stay**m * move ** (n - m) for m in range(n + 1)], (b * (k - 1)) ** n
+    off = (1 - p) / (k - 1)
+    return [p**m * off ** (n - m) for m in range(n + 1)], None
+
+
+def transition_sum(z_in: Sequence[int], z_out: Sequence[int], weights: Sequence[Scalar]):
+    """Sum of ways * weights[kept] over the transfer tables from ``z_in``
+    to ``z_out``: with the weights of :func:`match_weights`, the k-RR
+    histogram transition probability over their denominator."""
+    return sum(ways * weights[kept] for ways, kept in transfer_tables(z_in, z_out))
+
+
+def krr_histogram_transition(z_in: Sequence[int], z_out: Sequence[int], p: Scalar) -> Scalar:
+    """Probability that per-record k-ary randomized response turns an
+    input with histogram ``z_in`` into an output with histogram ``z_out``
+    (two length-k count vectors).
+
+    Each record independently keeps its value with probability p and
+    moves to each other value with probability (1-p)/(k-1), so a
+    transfer table with ``kept`` records kept stands for ``ways``
+    reports of probability ``match_weights(n, k, p)[kept]`` each.  A
+    ``Fraction`` when p is rational, binary64 otherwise.
+    """
     k = len(z_in)
     if k < 2 or len(z_out) != k:
         raise ValueError("histograms must have the same length k >= 2")
-    if k == 2:
-        return _binary_transition(*z_in, *z_out, p)
     if min(z_in) < 0 or min(z_out) < 0:
         raise ValueError("histogram counts must be non-negative")
     n = sum(z_in)
@@ -196,46 +221,9 @@ def krr_histogram_transition(*args) -> Scalar:
             % (n, sum(z_out))
         )
     require_probability(p, Fraction(1, k))
-    if is_exact(p):
-        p = Fraction(p)
-    off = (1 - p) / (k - 1)
-    return sum(
-        ways * p**kept * off ** (n - kept) for ways, kept in transfer_tables(z_in, z_out)
-    )
-
-
-def _binary_transition(
-    n_a_in: int, n_b_in: int, n_a_out: int, n_b_out: int, p: Scalar
-) -> Scalar:
-    """The two-letter case, where a transfer table has one free count:
-    the a-records that stayed an 'a'.  Fixing it fixes how many
-    b-records stayed a 'b', and the binomials count the ways to choose
-    which records flipped."""
-    for count in (n_a_in, n_b_in, n_a_out, n_b_out):
-        if count < 0:
-            raise ValueError("histogram counts must be non-negative")
-    n = n_a_in + n_b_in
-    if n_a_out + n_b_out != n:
-        raise ValueError(
-            "count-sum mismatch: input histogram sums to %d, output to %d"
-            % (n, n_a_out + n_b_out)
-        )
-    require_probability(p, Fraction(1, 2))
-
-    pbar = 1 - p
-    total: Scalar = 0
-    lo = max(n_a_in - n_b_out, 0)
-    hi = min(n_a_in, n_a_out)
-    for m_a in range(lo, hi + 1):
-        m_b = n_b_in - n_a_out + m_a
-        matches = m_a + m_b
-        total += (
-            binomial(n_a_in, m_a)
-            * binomial(n_b_in, m_b)
-            * p**matches
-            * pbar ** (n - matches)
-        )
-    return total
+    weights, den = match_weights(n, k, p)
+    total = transition_sum(z_in, z_out, weights)
+    return total if den is None else Fraction(total, den)
 
 
 def epsilon_to_p(epsilon: float, k: int) -> float:

@@ -137,6 +137,22 @@ def test_sweep_reversed_range_is_usage_error(capsys):
     assert err.startswith("error:") and "--n-start" in err
 
 
+def test_consecutive_sweeps_print_only_their_own_rows(capsys):
+    # the parser is built once per process; repeated flags must not
+    # carry over from one call to the next
+    code, out, _ = run(capsys, "sweep", "--mech", "krr", "--mech", "krr-shuffle",
+                       "--n-start", "2", "--n-end", "2", "--p", "0.9", "--p", "0.6")
+    assert code == 0
+    first = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert {(row[0], row[3]) for row in first} == {
+        ("krr", "0.9"), ("krr", "0.6"), ("krr-shuffle", "0.9"), ("krr-shuffle", "0.6")}
+    code, out, _ = run(capsys, "sweep", "--mech", "krr",
+                       "--n-start", "2", "--n-end", "2", "--p", "0.7", "--p", "0.8")
+    assert code == 0
+    second = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert [(row[0], row[3]) for row in second] == [("krr", "0.7"), ("krr", "0.8")]
+
+
 def test_sweep_deterministic_output(capsys, tmp_path):
     args = ["sweep", "--mech", "krr-shuffle", "--n-start", "1", "--n-end", "6",
             "--p", "0.75", "--exact"]

@@ -16,6 +16,7 @@ from rrshuffle.combinatorics import (
     multinomial,
     p_to_epsilon,
     partitions,
+    transfer_tables,
 )
 
 # ---------------------------------------------------------------------------
@@ -197,22 +198,37 @@ def test_partitions_validation():
 # ---------------------------------------------------------------------------
 
 
+def test_binary_transfer_tables_match_literal_enumeration():
+    # every 2x2 table of counts in lexicographic order of its entries,
+    # filed under its row and column sums
+    for n in range(13):
+        tables = {}
+        for t in itertools.product(range(n + 1), repeat=4):
+            if sum(t) == n:
+                z_in, z_out = (t[0] + t[1], t[2] + t[3]), (t[0] + t[2], t[1] + t[3])
+                ways = multinomial(z_in[0], t[:2]) * multinomial(z_in[1], t[2:])
+                tables.setdefault((z_in, z_out), []).append((ways, t[0] + t[3]))
+        assert len(tables) == (n + 1) ** 2
+        for (z_in, z_out), want in tables.items():
+            assert list(transfer_tables(z_in, z_out)) == want
+
+
 def test_histogram_transition_symbolic_entries():
     p = Fraction(3, 4)
-    assert krr_histogram_transition(3, 0, 3, 0, p) == p**3
-    assert krr_histogram_transition(2, 1, 3, 0, p) == p**2 * (1 - p)
-    assert krr_histogram_transition(2, 1, 2, 1, p) == Fraction(33, 64)
+    assert krr_histogram_transition((3, 0), (3, 0), p) == p**3
+    assert krr_histogram_transition((2, 1), (3, 0), p) == p**2 * (1 - p)
+    assert krr_histogram_transition((2, 1), (2, 1), p) == Fraction(33, 64)
     assert float(Fraction(33, 64)) == 0.515625
 
 
 def test_histogram_transition_count_mismatch():
     with pytest.raises(ValueError, match="count-sum mismatch"):
-        krr_histogram_transition(2, 1, 2, 2, Fraction(3, 4))
+        krr_histogram_transition((2, 1), (2, 2), Fraction(3, 4))
 
 
 def test_histogram_transition_rejects_out_of_range_p():
     with pytest.raises(ValueError):
-        krr_histogram_transition(1, 1, 1, 1, Fraction(1, 4))
+        krr_histogram_transition((1, 1), (1, 1), Fraction(1, 4))
 
 
 @pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(3, 5), Fraction(3, 4), Fraction(1)])
@@ -220,7 +236,7 @@ def test_histogram_transition_rows_normalize(p):
     for n in range(1, 9):
         for a_in in range(n + 1):
             total = sum(
-                krr_histogram_transition(a_in, n - a_in, a_out, n - a_out, p)
+                krr_histogram_transition((a_in, n - a_in), (a_out, n - a_out), p)
                 for a_out in range(n + 1)
             )
             assert total == 1
@@ -232,7 +248,7 @@ def test_histogram_transition_matches_enumeration(p):
         for a_in in range(n + 1):
             for a_out in range(n + 1):
                 assert krr_histogram_transition(
-                    a_in, n - a_in, a_out, n - a_out, p
+                    (a_in, n - a_in), (a_out, n - a_out), p
                 ) == brute_histogram_transition(a_in, n - a_in, a_out, n - a_out, p)
 
 

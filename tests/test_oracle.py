@@ -80,7 +80,7 @@ def test_oracle_histogram_transition_matches_formula():
                 for a_out in range(n + 1):
                     assert oracle_histogram_transition(
                         x, (a_out, n - a_out), p
-                    ) == krr_histogram_transition(a_in, n - a_in, a_out, n - a_out, p)
+                    ) == krr_histogram_transition((a_in, n - a_in), (a_out, n - a_out), p)
 
 
 def test_oracle_histogram_transition_validation():
@@ -104,10 +104,6 @@ def test_general_k_histogram_transition_matches_oracle(k, max_n):
 
 
 def test_general_k_histogram_transition_forms_and_modes():
-    # the two-letter call forms agree
-    assert krr_histogram_transition((2, 1), (1, 2), Fraction(3, 4)) == (
-        krr_histogram_transition(2, 1, 1, 2, Fraction(3, 4))
-    )
     exact = krr_histogram_transition((2, 1, 1), (1, 1, 2), Fraction(3, 5))
     approx = krr_histogram_transition((2, 1, 1), (1, 1, 2), 0.6)
     assert isinstance(exact, Fraction)
