@@ -21,11 +21,13 @@ from .channels import (
     cascade,
     equivalent,
 )
-from .combinatorics import partitions
+from .combinatorics import match_weights, partitions, transition_sum
 from .oracle import ORACLE_CAP, oracle_posterior
 from .vulnerability import (
+    AboScenario,
     GainFunction,
     Prior,
+    abo_posterior,
     posterior_vulnerability,
     single_target_gain,
 )
@@ -132,6 +134,25 @@ def _oracle_grid(max_n: int):
                 yield n, k
 
 
+def abo_transition_sum(scenario: AboScenario) -> Fraction:
+    """The all-but-one adversary's posterior vulnerability by its
+    definition, the reference for :func:`abo_posterior`: half the sum,
+    over the n + 1 output histograms, of the larger of the two candidate
+    datasets' k-RR transition sums.  Exact; a float p is read as the
+    rational it denotes."""
+    n = scenario.n
+    known_b = n - 1 - scenario.known_a
+    if_a = (scenario.known_a + 1, known_b)  # target holds 'a'
+    if_b = (scenario.known_a, known_b + 1)  # target holds 'b'
+    weights, den = match_weights(n, 2, Fraction(scenario.p))
+    total = 0
+    for a_out in range(n + 1):
+        z_out = (a_out, n - a_out)
+        total += max(transition_sum(if_a, z_out, weights),
+                     transition_sum(if_b, z_out, weights))
+    return Fraction(total, 2 * den)
+
+
 def suite_oracle(max_n: int = 8) -> list[CheckResult]:
     """Exact agreement of every closed form with brute force."""
     report = Report()
@@ -171,6 +192,16 @@ def suite_oracle(max_n: int = 8) -> list[CheckResult]:
                     % (label, n, k, p),
                     value == truth_ns,
                     "%s != %s" % (value, truth_ns),
+                )
+            if k == 2:
+                scenarios = [AboScenario(n, p, a) for a in range(n)]
+                bad = [s.known_a for s in scenarios
+                       if abo_posterior(s) != abo_transition_sum(s)]
+                report.record(
+                    "abo closed form matches transition sum for every known_a "
+                    "(n=%d, p=%s)" % (n, p),
+                    not bad,
+                    "known_a in %s" % bad,
                 )
     return report.results
 

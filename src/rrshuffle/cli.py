@@ -167,6 +167,8 @@ def _posterior(mech: str, n: int, k: int, p, method: str, exact: bool) -> Scalar
 
 
 def cmd_vuln(args) -> int:
+    if args.mech == "shuffle" and (args.p is not None or args.epsilon is not None):
+        raise UsageError("--p and --epsilon do not apply to mechanism 'shuffle'")
     p = _resolve_p(args, args.k)
     if args.mech != "shuffle" and p is None:
         raise UsageError("--p or --epsilon is required for mechanism %r" % args.mech)
@@ -286,6 +288,8 @@ def cmd_channel(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if args.max_n is not None and args.max_n < 1:
+        raise UsageError("--max-n must be at least 1")
     results = checks.run_suite(args.suite, args.max_n)
     lines = []
     for r in results:

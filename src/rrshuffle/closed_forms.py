@@ -1,7 +1,10 @@
 """Posterior-vulnerability formulas: exact, fast, and asymptotic.
 
 Everything here targets the single-target adversary with a uniform prior
-over datasets.  The binary formulas are closed-form and cheap at any n.
+over datasets.  The binary formulas are closed-form and cheap at any n;
+their single-binomial form, 1/2 + |p - 1/2| times the largest point
+probability of the other records' noisy count, also gives the
+all-but-one adversary's vulnerability.
 For general k the shuffle vulnerability is the expected maximum bin load,
 evaluated by one bounded-load recursion over bin sizes in polynomial
 time: exact integers for moderate n, Poisson-weighted binary64 for large
@@ -18,7 +21,6 @@ from typing import Iterator, Literal, NamedTuple, Optional
 
 from .combinatorics import (
     IntegerPartition,
-    binomial,
     multinomial,
     partitions,
 )
@@ -69,18 +71,14 @@ def v_post_krr(p: Scalar, k: int) -> Scalar:
 
 def v_post_shuffle_binary_sum(n: int) -> Fraction:
     """Shuffle alone, binary, by direct summation over histograms:
-    (1/2^n) sum_i C(n,i) max(i, n-i)/n."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    return _score_sum(n, 2, 1, _binary_terms(n))
+    noise then shuffle at p = 1."""
+    return v_post_ns_binary_sum(n, 1)
 
 
 def v_post_shuffle_binary_fast(n: int) -> Fraction:
     """Shuffle alone, binary, single-binomial form:
-    1/2 + C(n-1, floor((n-1)/2)) / 2^n."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    return Fraction(1, 2) + Fraction(binomial(n - 1, (n - 1) // 2), 2**n)
+    noise then shuffle at p = 1."""
+    return v_post_ns_binary_fast(n, 1)
 
 
 def v_post_ns_binary_sum(n: int, p: Scalar) -> Scalar:
@@ -123,14 +121,69 @@ def _score_sum(n: int, k: int, p: Scalar, terms) -> Fraction:
 
 def v_post_ns_binary_fast(n: int, p: Scalar) -> Scalar:
     """Noise then shuffle, binary, single-binomial form:
-    1/2 + C(n-1, floor((n-1)/2)) (2p - 1) / 2^n."""
+    1/2 + |p - 1/2| C(n-1, floor((n-1)/2)) / 2^(n-1).
+
+    The other n - 1 records are uniform, so each reports 'a' with
+    probability 1/2 whatever p is, and their 'a'-count is Bin(n - 1, 1/2).
+    """
     if n < 1:
         raise ValueError("n must be at least 1")
     require_probability(p, Fraction(1, 2))
-    weight = Fraction(binomial(n - 1, (n - 1) // 2), 2**n)
+    return binary_vulnerability(p, count_mode_probability(n - 1, 0, Fraction(1, 2)))
+
+
+def binary_vulnerability(p: Scalar, mode: Fraction) -> Scalar:
+    """1/2 + |p - 1/2| mode: the posterior single-target vulnerability
+    of binary noise then shuffle, the target's value uniform and
+    ``mode`` the largest point probability of the law B of the other
+    records' noisy 'a'-count.
+
+    The target's two values give output laws p B(z-1) + (1-p) B(z) and
+    (1-p) B(z-1) + p B(z), which differ by (2p - 1)(B(z-1) - B(z)); B
+    is unimodal, so these sum in absolute value to 2 |2p - 1| max B.
+    For a float p the exact mode is rounded once.
+    """
     if is_exact(p):
-        return Fraction(1, 2) + weight * (2 * Fraction(p) - 1)
-    return 0.5 + float(weight) * (2 * p - 1)
+        return Fraction(1, 2) + abs(Fraction(p) - Fraction(1, 2)) * mode
+    return 0.5 + abs(p - 0.5) * float(mode)
+
+
+def count_mode_probability(a: int, b: int, p: Scalar) -> Fraction:
+    """Largest point probability of the sum of a Bin(a, p) count and an
+    independent Bin(b, 1 - p) count, exact.
+
+    A sum of independent Bernoullis peaks at the floor or the ceiling
+    of its mean a p + b (1 - p) (Darroch 1964), so only those two points
+    are evaluated.  A float p is read as the rational s/d it denotes,
+    and each point probability is one integer sum over d^(a+b).
+    """
+    q = Fraction(p)
+    s, d = q.numerator, q.denominator
+    mean = a * s + b * (d - s)  # the mean times d
+    tops = {mean // d, -(-mean // d)}
+    return Fraction(max(_count_mass(a, b, s, d - s, z) for z in tops), d ** (a + b))
+
+
+def _count_mass(a: int, b: int, s: int, t: int, z: int) -> int:
+    """(s + t)^(a+b) P(Bin(a, s/(s+t)) + Bin(b, t/(s+t)) = z), an
+    integer (s > 0): the sum over the j 'a'-reports among the first a of
+    C(a, j) C(b, z-j) s^(b-z+2j) t^(a+z-2j).
+
+    Term j - 1 is term j times j (b-z+j) t^2 / ((a-j+1)(z-j+1) s^2), so
+    the sum is nested Horner-style from the top term down, its
+    denominators carried in one product: two short multiplications per
+    term and one division at the end.
+    """
+    lo, hi = max(0, z - b), min(a, z)
+    x, y = s * s, t * t
+    acc = tail = scale = 1
+    for j in range(hi, lo, -1):
+        tail *= j * (b - z + j) * y
+        step = (a - j + 1) * (z - j + 1)
+        acc = tail + step * x * acc
+        scale *= step
+    top = math.comb(a, hi) * math.comb(b, z - hi)
+    return top * acc // scale * s ** (b - z + 2 * lo) * t ** (a + z - 2 * hi)
 
 
 # ---------------------------------------------------------------------------
@@ -255,10 +308,11 @@ def v_post_shuffle_general(
     sum_{m<n} (k^n - A_m), A_m counting the maps with no bin above m, by
     one bounded-load recursion over bin sizes (:func:`_max_load_tails`):
     about n^2 min(k, n) (1 + ln k) operations, exact integers or
-    Poisson-weighted binary64.  The partition method groups histograms by
-    their partition shape, one term per partition (~n^(k-1) of them), and
-    the composition method evaluates the ungrouped sum; both are kept as
-    slow references.  Exact by default up to n = 64, binary64 above.
+    Poisson-weighted binary64.  The partition method, the reference,
+    groups histograms by their partition shape, one term per partition
+    (~n^(k-1) of them); the composition method evaluates the ungrouped
+    sum and is kept to check it.  Exact by default up to n = 64,
+    binary64 above.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -414,7 +468,8 @@ def posterior_for(
 
     method 'closed' uses the fast forms (binary single-binomial,
     bounded-load recursion, linear relation); 'sum' the direct summation
-    forms; 'approx' the asymptotic estimate with f = 1.
+    forms (the binary sums, or the partition sum for k > 2); 'approx'
+    the asymptotic estimate with f = 1.
     """
     n, k, p = spec.n, spec.k, spec.p
     if spec.kind == "krr":
@@ -432,7 +487,7 @@ def posterior_for(
             )
             return result if _pick_exact(n, exact) else float(result)
         return v_post_shuffle_general(
-            n, k, method="bounded-load" if method == "closed" else "composition",
+            n, k, method="bounded-load" if method == "closed" else "partition",
             exact=exact,
         )
     # noise then shuffle

@@ -1,9 +1,7 @@
-"""Exact and log-space combinatorial primitives.
+"""Exact combinatorial primitives and k-RR histogram transitions.
 
 Counting functions return arbitrary-precision integers, so results such
-as binomial(199, 99) are exact.  A log-space companion is provided for
-sweeps where the exact integers would be wastefully large; its per-term
-absolute error is bounded by ~1e-11 (a handful of lgamma evaluations).
+as binomial(199, 99) are exact.
 """
 
 from __future__ import annotations
@@ -43,11 +41,7 @@ def multinomial(n: int, parts: Sequence[int]) -> int:
 
 
 def log_multinomial(n: int, parts: Sequence[int]) -> float:
-    """Natural log of the multinomial coefficient, via lgamma.
-
-    Absolute error stays below ~1e-11 per call, small enough that sums
-    of ~1e5 exponentiated terms keep 1e-9 absolute accuracy.
-    """
+    """Natural log of the multinomial coefficient, via lgamma."""
     if any(p < 0 for p in parts):
         raise ValueError("parts must be non-negative")
     if sum(parts) != n:
@@ -144,18 +138,9 @@ def transfer_tables(z_in: Sequence[int], z_out: Sequence[int]) -> Iterator[tuple
     reports the table stands for, and ``kept`` = trace(T) the number of
     records that kept their value.  Tables come row by row, each row in
     increasing lexicographic order; the last row is what the column
-    sums leave over.  With two letters a table has one free count, the
-    a-records that stayed an 'a', and a plain loop over it yields the
-    same pairs in the same order.
+    sums leave over.
     """
     k = len(z_in)
-    if k == 2:
-        (a_in, b_in), (a_out, b_out) = z_in, z_out
-        return (
-            (math.comb(a_in, stay) * math.comb(b_in, b_out - a_in + stay),
-             2 * stay + b_out - a_in)
-            for stay in range(max(0, a_in - b_out), min(a_in, a_out) + 1)
-        )
 
     def rows(i: int, room: tuple[int, ...]) -> Iterator[tuple[int, int]]:
         if i == k - 1:

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rrshuffle import cli
 from rrshuffle.cli import main
+from rrshuffle.scalars import FLOAT_TOL
 
 
 def run(capsys, *argv):
@@ -37,6 +39,16 @@ def test_vuln_shuffle_single_record(capsys):
     code, out, _ = run(capsys, "vuln", "--mech", "shuffle", "--n", "1", "--k", "2")
     assert code == 0
     assert float(record(out)["posterior_v"]) == 1.0
+
+
+@pytest.mark.parametrize("flags", [("--p", "0.3"), ("--k", "3", "--p", "0.5"),
+                                   ("--p", "3/4", "--exact"), ("--epsilon", "1")])
+def test_vuln_shuffle_rejects_p_and_epsilon(capsys, flags):
+    # the shuffle's value does not depend on p, so a p is a usage error
+    code, out, err = run(capsys, "vuln", "--mech", "shuffle", "--n", "5", *flags)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "'shuffle'" in err
 
 
 def test_vuln_oracle_exact(capsys):
@@ -213,11 +225,25 @@ def test_abo_sweep_csv(capsys):
     assert lines[11].split(",")[0] == "1.0"
 
 
-def test_abo_float_overflow_suggests_exact(capsys):
-    code, out, err = run(capsys, "abo", "--n", "1200", "--known-a", "600", "--p", "0.8")
+def test_abo_float_n1200_agrees_with_exact(capsys):
+    argv = ("abo", "--n", "1200", "--known-a", "600", "--p")
+    code, out, err = run(capsys, *argv, "0.8")
+    assert code == 0 and err == ""
+    floating = float(record(out)["abo_posterior_v"])
+    code, out, _ = run(capsys, *argv, "4/5", "--exact")
+    assert code == 0
+    assert abs(floating - Fraction(record(out)["abo_posterior_v"])) <= FLOAT_TOL
+
+
+def test_overflow_exits_2_with_exact_hint(capsys, monkeypatch):
+    def overflow(scenario):
+        raise OverflowError("int too large to convert to float")
+
+    monkeypatch.setattr(cli, "abo_posterior", overflow)
+    code, out, err = run(capsys, "abo", "--n", "5", "--known-a", "2", "--p", "0.8")
     assert code == 2
     assert out == ""
-    assert err.startswith("error:") and "--exact" in err
+    assert err.startswith("error: binary64 overflow") and "--exact" in err
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +323,15 @@ def test_check_fastform(capsys):
 def test_check_brown(capsys):
     code, out, _ = run(capsys, "check", "--suite", "brown", "--max-n", "8")
     assert code == 0
+
+
+@pytest.mark.parametrize("suite, max_n", [("oracle", "0"), ("fastform", "-5"),
+                                          ("dpi", "0")])
+def test_check_max_n_below_one_is_usage_error(capsys, suite, max_n):
+    code, out, err = run(capsys, "check", "--suite", suite, "--max-n", max_n)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "--max-n" in err
 
 
 def test_check_unknown_suite_usage_error(capsys):

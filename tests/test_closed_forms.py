@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rrshuffle import closed_forms
 from rrshuffle.closed_forms import (
     MechanismSpec,
+    count_mode_probability,
     posterior_for,
     scaled_max_load,
     scaled_max_load_via_multinomials,
@@ -109,6 +111,44 @@ def test_binary_sum_float_at_n_10000_matches_fast_form():
     floating = v_post_ns_binary_sum(n, p)
     assert isinstance(floating, float)
     assert abs(floating - v_post_ns_binary_fast(n, p)) <= FLOAT_TOL
+
+
+def test_float_fast_form_is_the_single_binomial_expression():
+    # 0.5 + |p - 0.5| M with M the exact mode rounded once is, bit for
+    # bit, 0.5 + float(C(n-1, floor((n-1)/2)) / 2^n) (2p - 1) for p >= 1/2
+    for n in range(1, 401):
+        weight = float(Fraction(math.comb(n - 1, (n - 1) // 2), 2**n))
+        for p in (0.5, 0.546875, 0.6, 0.75, 0.8, 0.9, 0.999, 1.0):
+            assert v_post_ns_binary_fast(n, p) == 0.5 + weight * (2 * p - 1)
+
+
+def test_float_fast_form_just_below_one_half():
+    # the validators accept a float p up to FLOAT_TOL below 1/2; the
+    # adversary then guesses against the report, and V stays above 1/2
+    p = 0.5 - FLOAT_TOL / 2
+    for n in (1, 2, 7, 200):
+        value = v_post_ns_binary_fast(n, p)
+        assert 0.5 < value <= 0.5 + FLOAT_TOL
+        mirror = v_post_ns_binary_fast(n, Fraction(1) - Fraction(p))
+        assert value == pytest.approx(float(mirror), abs=1e-15)
+
+
+def _count_law(a, b, p):
+    """Point probabilities of Bin(a, p) + Bin(b, 1 - p), by literal
+    convolution of Bernoulli laws."""
+    law = [Fraction(1)]
+    for q in [p] * a + [1 - p] * b:
+        law = [x * (1 - q) + y * q for x, y in zip(law + [0], [0] + law)]
+    return law
+
+
+def test_count_mode_probability_is_the_largest_point_probability():
+    for a in range(9):
+        for b in range(9):
+            for p in (Fraction(1, 2), Fraction(3, 5), Fraction(35, 64), Fraction(9, 10),
+                      Fraction(1), 0.8):
+                law = _count_law(a, b, Fraction(p))
+                assert count_mode_probability(a, b, p) == max(law)
 
 
 def test_monotone_pairwise_decrease():
@@ -321,6 +361,22 @@ def test_posterior_for_routes_consistently():
     assert posterior_for(MechanismSpec("krr", 9, 2, Fraction(9, 10))) == Fraction(9, 10)
     with pytest.raises(ValueError):
         posterior_for(MechanismSpec("krr", 2, 2, Fraction(3, 4)), "approx")
+
+
+def test_posterior_for_shuffle_sum_is_the_partition_sum(monkeypatch):
+    want = {
+        (n, k): v_post_shuffle_general(n, k, method="composition", exact=True)
+        for n, k in ((7, 3), (6, 4), (5, 5))
+    }
+
+    def no_compositions(n, k):
+        raise AssertionError("the composition sum is not the sum method")
+
+    monkeypatch.setattr(closed_forms, "_compositions", no_compositions)
+    for (n, k), value in want.items():
+        spec = MechanismSpec("shuffle", n, k)
+        assert posterior_for(spec, "sum", exact=True) == value
+        assert posterior_for(spec, "sum", exact=False) == float(value)
 
 
 def test_posterior_for_auto_mode_switches_to_float():
