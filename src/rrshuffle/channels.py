@@ -12,8 +12,9 @@ kept reduced (the gcd of ``den`` and every numerator is 1, so ``==`` and
 float channel.  Both kinds run the same algebra below (cascade,
 canonical form, posterior sums); only two things depend on the kind: a
 row is valid when its entries are non-negative and sum to ``den``
-exactly, or to 1 within ``FLOAT_TOL``; and a result is divided once by
-its denominator, or read as binary64.
+exactly, or to 1 within ``FLOAT_TOL`` (a NaN or infinite entry makes
+the sum not finite, and the row invalid); and a result is divided once
+by its denominator, or read as binary64.
 ``Channel(row_labels, col_labels, rows)`` accepts either kind of rows:
 rows whose entries are all rationals (``Fraction`` or ``int``) make an
 exact channel.  ``rows`` reads probabilities in both cases; for an exact
@@ -31,6 +32,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import truediv
 
 from .combinatorics import match_weights, transition_sum
 from .scalars import FLOAT_TOL, Scalar, all_exact, close, is_exact, require_probability
@@ -203,6 +205,8 @@ class Channel:
             if row and min(row) < 0:
                 raise ValueError("negative entry in row %r" % label)
             total = sum(row)
+            if den is None and not math.isfinite(total):
+                raise ValueError("row %r sums to %r, not a finite number" % (label, total))
             if (total != den) if den is not None else (abs(total - 1) > FLOAT_TOL):
                 raise ValueError("row %r sums to %s, not 1"
                                  % (label, total if den is None else Fraction(total, den)))
@@ -494,20 +498,19 @@ def canonicalize(channel: Channel) -> CanonicalChannel:
     """Group the nonzero columns by their normalized posterior, sum each
     class's mass into its outer probability, and sort.
 
-    Columns are read one at a time.  Exact columns fall in one class
-    when their primitive integer vectors (the column over its gcd) are
-    equal; float columns when their posteriors, column / column sum,
-    agree entrywise within ``FLOAT_TOL``.
+    Exact columns fall in one class when their primitive integer vectors
+    (the column over its gcd) are equal; float columns when their
+    posteriors, column / column sum, agree entrywise within
+    ``FLOAT_TOL``.
     """
-    columns = zip(*channel.num)
     nrows = len(channel.row_labels)
     if channel.den is None:
         classes = [(mass / nrows, posterior)
-                   for posterior, mass in _float_classes(columns)]
+                   for posterior, mass in _float_classes(channel.num)]
     else:
         scale = channel.den * nrows
         classes = [(Fraction(mass, scale), posterior)
-                   for posterior, mass in _exact_classes(columns)]
+                   for posterior, mass in _exact_classes(zip(*channel.num))]
     return CanonicalChannel(channel.row_labels, tuple(sorted(classes)))
 
 
@@ -524,19 +527,25 @@ def _exact_classes(columns):
         yield tuple(Fraction(v, total) for v in key), mass
 
 
-def _float_classes(columns) -> list[list]:
+def _float_classes(num) -> list[list]:
     """[posterior, summed mass] for each class of float posteriors.
 
-    Equal posteriors are merged by hashing.  The distinct ones are then
-    taken in lexicographic order, each joining the latest earlier class
-    whose posterior is within ``FLOAT_TOL`` entrywise; only classes whose
-    first entry is within ``FLOAT_TOL`` of its own are candidates.
+    The per-column work runs in C-level passes over the rows ``num``:
+    ``sum`` over each column gives its total, and zipping one lazy
+    ``map(truediv, row, totals)`` per row gives each column's posterior
+    key, a zero total read as 1 (the column is skipped).  Equal keys are
+    merged by hashing, each nonzero column's total added to its key's
+    mass in column order.  The distinct keys are then taken in
+    lexicographic order, each joining the latest earlier class whose
+    posterior is within ``FLOAT_TOL`` entrywise; only classes whose first
+    entry is within ``FLOAT_TOL`` of its own are candidates.
     """
+    totals = list(map(sum, zip(*num)))
+    safe = [total or 1.0 for total in totals]
+    keys = zip(*[map(truediv, row, safe) for row in num])
     merged: dict[tuple[float, ...], float] = {}
-    for col in columns:
-        total = sum(col)
+    for key, total in zip(keys, totals):
         if total:
-            key = tuple(e / total for e in col)
             merged[key] = merged.get(key, 0.0) + total
     classes: list[list] = []
     for key in sorted(merged):

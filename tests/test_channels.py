@@ -1,11 +1,18 @@
+import itertools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import rrshuffle
 from rrshuffle.channels import (
+    CanonicalChannel,
     CapExceededError,
     CascadeTypeError,
     Channel,
@@ -502,6 +509,19 @@ def test_exact_channel_validation():
         Channel(("x",), ("y", "z"), ((1,),))
 
 
+@pytest.mark.parametrize("rows", [
+    ((math.nan, 1.0),),
+    ((1.0, math.nan),),
+    ((0.5, 0.5), (math.inf, 1.0)),
+    ((0.5, 0.5), (math.nan, -1.0)),
+])
+def test_float_channel_rejects_non_finite_entries(rows):
+    labels = ("a", "b")[:len(rows)]
+    bad = labels[-1]
+    with pytest.raises(ValueError, match="row %r sums to (nan|inf), not a finite" % bad):
+        Channel(labels, ("x", "y"), rows)
+
+
 @pytest.mark.parametrize("n, k", [(1, 3), (2, 3), (3, 3), (2, 4)])
 def test_krr_reduced_general_k_matches_full_aggregation(n, k):
     p = Fraction(3, 5)
@@ -612,3 +632,72 @@ def test_float_noise_shuffle_equivalent_to_reduced_k3_n3(p):
     nsr = cascade(noise, build_shuffle_reduced(3, 3))
     assert equivalent(ns, nsr)
     assert equivalent(nsr, ns)
+
+
+def reference_float_canonical(chan):
+    """The float canonical form column by column: each column's sum, its
+    posterior entry by entry, equal posteriors merged in a dict, then the
+    lexicographic ``FLOAT_TOL`` merge."""
+    merged = {}
+    for col in zip(*chan.num):
+        total = sum(col)
+        if total:
+            key = tuple(e / total for e in col)
+            merged[key] = merged.get(key, 0.0) + total
+    classes = []
+    for key in sorted(merged):
+        near = itertools.takewhile(lambda c: c[0][0] >= key[0] - FLOAT_TOL,
+                                   reversed(classes))
+        match = next((c for c in near
+                      if all(abs(a - b) <= FLOAT_TOL for a, b in zip(c[0], key))), None)
+        if match is None:
+            classes.append([key, merged[key]])
+        else:
+            match[1] += merged[key]
+    nrows = len(chan.row_labels)
+    return CanonicalChannel(chan.row_labels,
+                            tuple(sorted((mass / nrows, key) for key, mass in classes)))
+
+
+@st.composite
+def float_channel_columns(draw):
+    """A float channel whose columns repeat, scale or nudge a few drawn
+    columns, with zero columns among them; rows are scaled to sum to 1."""
+    m = draw(st.integers(1, 4))
+    entry = st.floats(0.0, 1.0)
+    base = draw(st.lists(st.tuples(*[entry] * m), min_size=1, max_size=4))
+    columns = [tuple(draw(st.floats(0.5, 1.0)) for _ in range(m))]
+    for _ in range(draw(st.integers(1, 8))):
+        col = draw(st.sampled_from(base))
+        kind = draw(st.sampled_from(["same", "scaled", "nudged", "zero"]))
+        if kind == "scaled":
+            factor = draw(st.sampled_from([0.5, 3.0, 0.1, 7.0]))
+            col = tuple(e * factor for e in col)
+        elif kind == "nudged":
+            col = tuple(e * (1 + draw(st.floats(-1e-10, 1e-10))) for e in col)
+        elif kind == "zero":
+            col = (0.0,) * m
+        columns.append(col)
+    order = draw(st.permutations(range(len(columns))))
+    rows = [[columns[j][i] for j in order] for i in range(m)]
+    rows = [[e / sum(row) for e in row] for row in rows]
+    return Channel(tuple("x%d" % i for i in range(m)),
+                   tuple("y%d" % j for j in range(len(columns))), rows)
+
+
+@given(float_channel_columns())
+@example(Channel(("a", "b"), ("y0", "y1", "y2", "y3"),
+                 ((0.25, 0.25 + 2.5e-12, 0.0, 0.5 - 2.5e-12), (0.25, 0.25, 0.0, 0.5))))
+@example(Channel(("a",), ("y0", "y1", "y2"), ((0.5, 0.0, 0.5),)))
+@settings(max_examples=300, deadline=None)
+def test_float_canonical_form_equals_column_by_column_reference(chan):
+    assert not chan.is_exact()
+    assert canonicalize(chan) == reference_float_canonical(chan)
+
+
+def test_import_leaves_numpy_out():
+    src = str(Path(rrshuffle.__file__).resolve().parents[1])
+    code = "import sys, rrshuffle; sys.exit('numpy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
