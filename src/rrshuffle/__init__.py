@@ -52,6 +52,7 @@ from .combinatorics import (
     log_multinomial,
     multinomial,
     p_to_epsilon,
+    partition_terms,
     partitions,
 )
 from .oracle import ORACLE_CAP, oracle_histogram_transition, oracle_posterior

@@ -130,8 +130,7 @@ def _resolve_p(args, k: int):
     if args.p is not None:
         return parse_scalar(args.p, args.exact)
     if args.epsilon is not None:
-        p = epsilon_to_p(args.epsilon, k)
-        return Fraction(p) if args.exact else p
+        return epsilon_to_p(args.epsilon, k, args.exact)
     return None
 
 
@@ -139,8 +138,7 @@ def _resolve_p_list(args, k: int):
     if args.p:
         return [parse_scalar(text, args.exact) for text in args.p]
     if args.epsilon:
-        ps = [epsilon_to_p(e, k) for e in args.epsilon]
-        return [Fraction(p) if args.exact else p for p in ps]
+        return [epsilon_to_p(e, k, args.exact) for e in args.epsilon]
     return []
 
 
@@ -151,11 +149,14 @@ def _fmt(value: Scalar, exact: bool) -> str:
 
 
 def _write(text: str, path):
-    if path:
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(path, "w") as handle:
             handle.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise UsageError("cannot write %s: %s" % (path, exc.strerror or exc)) from None
 
 
 def _posterior(mech: str, n: int, k: int, p, method: str, exact: bool) -> Scalar:

@@ -19,11 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Literal, NamedTuple, Optional
 
-from .combinatorics import (
-    IntegerPartition,
-    multinomial,
-    partitions,
-)
+from .combinatorics import multinomial, partition_terms, partitions
 from .scalars import Scalar, is_exact, require_probability
 
 #: Largest n for which the general-k evaluators default to exact rationals.
@@ -191,13 +187,6 @@ def _count_mass(a: int, b: int, s: int, t: int, z: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _partition_coefficient(n: int, k: int, part: IntegerPartition) -> int:
-    """Number of datasets sharing a histogram shape, times the histogram
-    labelings: multinomial(n; parts) * multinomial(k; multiplicities, k - l)."""
-    counts = [c for _, c in part.multiplicities]
-    return multinomial(n, part.parts) * multinomial(k, counts + [k - part.length])
-
-
 def _compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:
     if k == 1:
         yield (n,)
@@ -310,9 +299,10 @@ def v_post_shuffle_general(
     about n^2 min(k, n) (1 + ln k) operations, exact integers or
     Poisson-weighted binary64.  The partition method, the reference,
     groups histograms by their partition shape, one term per partition
-    (~n^(k-1) of them); the composition method evaluates the ungrouped
-    sum and is kept to check it.  Exact by default up to n = 64,
-    binary64 above.
+    (~n^(k-1) of them), its coefficient built by the one recursion of
+    :func:`~rrshuffle.combinatorics.partition_terms`; the composition
+    method evaluates the ungrouped sum and is kept to check it.  Exact by
+    default up to n = 64, binary64 above.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -368,10 +358,7 @@ def v_post_ns_general(
     if method != "partition":
         raise ValueError("method must be 'relation' or 'partition'")
 
-    value = _score_sum(
-        n, k, p,
-        ((_partition_coefficient(n, k, lam), lam.max_part) for lam in partitions(n, k)),
-    )
+    value = _score_sum(n, k, p, partition_terms(n, k))
     return value if use_exact else float(value)
 
 
@@ -409,14 +396,18 @@ def scaled_max_load(n: int, k: int) -> int:
 
 def scaled_max_load_via_multinomials(n: int, k: int) -> int:
     """Same integer as :func:`scaled_max_load`, written with the pair of
-    multinomial coefficients used by the vulnerability sum."""
+    multinomial coefficients used by the vulnerability sum:
+    multinomial(n; parts) * multinomial(k; multiplicities, k - length)
+    times the largest part, summed over the partitions of n into at most
+    k parts.  The coefficients come from
+    :func:`~rrshuffle.combinatorics.partition_terms`, one recursion that
+    builds each as it goes, so no partition object or multinomial call is
+    made per term."""
     if n < 1:
         raise ValueError("n must be at least 1")
     if k < 1:
         raise ValueError("k must be at least 1")
-    return sum(
-        _partition_coefficient(n, k, lam) * lam.max_part for lam in partitions(n, k)
-    )
+    return sum(coef * top for coef, top in partition_terms(n, k))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,11 @@
 """Exact combinatorial primitives and k-RR histogram transitions.
 
 Counting functions return arbitrary-precision integers, so results such
-as binomial(199, 99) are exact.
+as binomial(199, 99) are exact.  Integer partitions come two ways:
+:func:`partitions` yields each shape as an :class:`IntegerPartition`, and
+:func:`partition_terms` yields only what the histogram sums need, each
+shape's coefficient and largest part, from one recursion that carries
+the coefficient with no object or validated multinomial per term.
 """
 
 from __future__ import annotations
@@ -116,6 +120,59 @@ def partitions(n: int, max_parts: int) -> Iterator[IntegerPartition]:
     yield from rec(n, n, [])
 
 
+def partition_terms(n: int, k: int) -> Iterator[tuple[int, int]]:
+    """(coefficient, largest part) for each partition of n into at most
+    k parts, in the order of :func:`partitions`.
+
+    The coefficient multinomial(n; parts) * multinomial(k; multiplicities,
+    k - length) counts the maps of n labelled records into k labelled
+    values whose histogram has that shape, so the coefficients sum to
+    k^n.  One recursion over the parts builds it as it goes: a part taken
+    from the r records left, with ``slots`` of the k values still free,
+    multiplies it by C(r, part) * slots, and a part equal to the one
+    before divides it by the new length of that run.  Each prefix's value
+    is multinomial(n; parts, r) * multinomial(k; multiplicities, slots),
+    an integer, so every step is exact.
+    """
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    if k < 1:
+        raise ValueError("k must be at least 1")
+
+    def rec(r: int, bound: int, used: int, run: int, coef: int) -> Iterator[int]:
+        # ``used`` parts taken, the last equal to ``bound`` and ``run`` long
+        slots = k - used
+        for part in range(min(bound, r), 0, -1):
+            if part * slots < r:
+                break
+            step = coef * math.comb(r, part) * slots
+            if part == bound:
+                run_now = run + 1
+                step //= run_now
+            else:
+                run_now = 1
+            rest = r - part
+            if rest == 0:
+                yield step
+            elif slots == 2:  # the rest is the last part: no generator for it
+                yield step // (run_now + 1) if rest == part else step
+            else:
+                yield from rec(rest, part, used + 1, run_now, step)
+
+    if n == 0:
+        yield 1, 0
+        return
+    for top in range(n, 0, -1):
+        if top * k < n:
+            break
+        coef = math.comb(n, top) * k
+        if top == n:
+            yield coef, top
+        else:
+            for step in rec(n - top, top, 1, 1, coef):
+                yield step, top
+
+
 def _splits(total: int, room: Sequence[int]) -> Iterator[tuple[tuple[int, ...], int]]:
     """Each way to split ``total`` into len(room) >= 2 non-negative parts
     with part j at most room[j], with its multinomial coefficient."""
@@ -211,11 +268,14 @@ def krr_histogram_transition(z_in: Sequence[int], z_out: Sequence[int], p: Scala
     return total if den is None else Fraction(total, den)
 
 
-def epsilon_to_p(epsilon: float, k: int) -> float:
+def epsilon_to_p(epsilon: float, k: int, exact: bool = False) -> Scalar:
     """Truthful-report probability of k-ary randomized response at a
-    given privacy parameter: p = e^eps / (k - 1 + e^eps).  Raises
-    ``ValueError`` for a non-finite epsilon and when e^eps overflows
-    binary64."""
+    given privacy parameter: p = e^eps / (k - 1 + e^eps).
+
+    Binary64 by default.  With ``exact`` the rational E / (k - 1 + E),
+    E being the value binary64 e^eps denotes, so eps = 0 gives exactly
+    1/k.  Raises ``ValueError`` for a non-finite epsilon and when e^eps
+    overflows binary64."""
     if not math.isfinite(epsilon):
         raise ValueError("epsilon must be finite (got %r)" % (epsilon,))
     if epsilon < 0:
@@ -228,6 +288,8 @@ def epsilon_to_p(epsilon: float, k: int) -> float:
         raise ValueError(
             "epsilon %r is too large: e^epsilon overflows" % (epsilon,)
         ) from None
+    if exact:
+        e = Fraction(e)
     return e / (k - 1 + e)
 
 

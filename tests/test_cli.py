@@ -1,5 +1,6 @@
 import contextlib
 import io
+import math
 from fractions import Fraction
 
 import pytest
@@ -346,6 +347,46 @@ def test_vuln_rejects_non_finite_epsilon(capsys, epsilon):
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and "epsilon" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("k", [3, 5, 6])
+def test_exact_epsilon_zero_is_uniform_noise(capsys, k):
+    code, out, err = run(capsys, "vuln", "--mech", "krr-shuffle", "--k", str(k),
+                         "--n", "4", "--epsilon", "0", "--exact")
+    assert (code, err) == (0, "")
+    fields = record(out)
+    assert fields["p"] == fields["posterior_v"] == str(Fraction(1, k))
+    assert fields["add_leakage"] == "0"
+    code, out, err = run(capsys, "sweep", "--mech", "krr-shuffle", "--k", str(k),
+                         "--n-start", "2", "--n-end", "4", "--epsilon", "0", "--exact")
+    assert (code, err) == (0, "")
+    assert [row.split(",")[-1] for row in out.strip().splitlines()[1:]] == [
+        str(Fraction(1, k))
+    ] * 3
+
+
+def test_exact_epsilon_reads_binary64_e_to_the_epsilon(capsys):
+    e = Fraction(math.exp(1.0))
+    for k in (2, 3, 5):
+        code, out, _ = run(capsys, "vuln", "--mech", "krr", "--k", str(k), "--n", "3",
+                           "--epsilon", "1", "--exact")
+        assert code == 0
+        assert Fraction(record(out)["p"]) == e / (k - 1 + e)
+
+
+@pytest.mark.parametrize("argv", [
+    ["vuln", "--mech", "krr-shuffle", "--n", "3", "--p", "0.5"],
+    ["sweep", "--mech", "shuffle", "--n-start", "2", "--n-end", "3"],
+    ["abo", "--n", "5", "--known-a", "2", "--p", "0.8"],
+    ["channel", "--kind", "krr", "--n", "2", "--p", "0.75"],
+])
+def test_unwritable_out_is_an_error_not_a_traceback(capsys, tmp_path, argv):
+    for target in (tmp_path / "missing" / "x.csv", tmp_path):
+        code, out, err = run(capsys, *argv, "--out", str(target))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: cannot write %s: " % target)
+        assert "Traceback" not in err
 
 
 def test_check_takes_neither_exact_nor_cap(capsys):

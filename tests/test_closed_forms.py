@@ -205,6 +205,13 @@ def test_bounded_load_equals_partition_and_composition():
         )
 
 
+def test_bounded_load_equals_partition_sum_at_larger_sizes():
+    for n, k in [(100, 5), (40, 8), (30, 10)]:
+        assert v_post_shuffle_general(n, k, exact=True) == v_post_shuffle_general(
+            n, k, method="partition", exact=True
+        )
+
+
 # (70, 10**6): C(k, u) exceeds the float range for u >= 68.
 @pytest.mark.parametrize(
     "n,k", [(300, 3), (120, 5), (80, 6), (100, 10), (40, 40), (70, 10**6)]
@@ -238,6 +245,12 @@ def test_ns_general_relation_equals_partition():
                 relation = v_post_ns_general(n, k, p, exact=True)
                 direct = v_post_ns_general(n, k, p, method="partition", exact=True)
                 assert relation == direct
+
+
+def test_ns_general_float_partition_sum_is_the_exact_value_rounded_once():
+    floating = v_post_ns_general(300, 3, 0.6, method="partition")
+    assert isinstance(floating, float)
+    assert floating == float(v_post_ns_general(300, 3, Fraction(0.6), exact=True))
 
 
 def test_ns_general_both_paths_match_oracle():

@@ -15,6 +15,7 @@ from rrshuffle.combinatorics import (
     log_multinomial,
     multinomial,
     p_to_epsilon,
+    partition_terms,
     partitions,
     transfer_tables,
 )
@@ -193,6 +194,35 @@ def test_partitions_validation():
         IntegerPartition((1, 2))
 
 
+def test_partition_terms_are_the_two_multinomials_in_partition_order():
+    for n in range(1, 25):
+        for k in range(1, 12):
+            expected = [
+                (
+                    multinomial(n, lam.parts)
+                    * multinomial(k, [c for _, c in lam.multiplicities] + [k - lam.length]),
+                    lam.max_part,
+                )
+                for lam in partitions(n, k)
+            ]
+            assert list(partition_terms(n, k)) == expected, (n, k)
+
+
+def test_partition_terms_count_every_map_once():
+    for n in range(0, 25):
+        for k in range(1, 12):
+            assert sum(coef for coef, _ in partition_terms(n, k)) == k**n
+
+
+def test_partition_terms_edges_and_validation():
+    assert list(partition_terms(0, 3)) == [(1, 0)]
+    assert list(partition_terms(5, 1)) == [(1, 5)]
+    with pytest.raises(ValueError):
+        list(partition_terms(-1, 3))
+    with pytest.raises(ValueError):
+        list(partition_terms(3, 0))
+
+
 # ---------------------------------------------------------------------------
 # histogram transition probability
 # ---------------------------------------------------------------------------
@@ -260,6 +290,16 @@ def test_histogram_transition_matches_enumeration(p):
 def test_epsilon_to_p_examples():
     assert epsilon_to_p(0.0, 2) == 0.5
     assert p_to_epsilon(0.75, 2) == pytest.approx(math.log(3))
+
+
+def test_exact_epsilon_to_p_reads_binary64_e_to_the_epsilon():
+    for k in (2, 3, 5, 6):
+        assert epsilon_to_p(0.0, k, exact=True) == Fraction(1, k)
+        e = Fraction(math.exp(1.0))
+        p = epsilon_to_p(1.0, k, exact=True)
+        assert isinstance(p, Fraction)
+        assert p == e / (k - 1 + e)
+        assert float(p) == pytest.approx(epsilon_to_p(1.0, k), rel=1e-15)
 
 
 def test_p_to_epsilon_singularities():
