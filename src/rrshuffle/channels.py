@@ -19,7 +19,10 @@ by its denominator, or read as binary64.
 rows whose entries are all rationals (``Fraction`` or ``int``) make an
 exact channel.  ``rows`` reads probabilities in both cases; for an exact
 channel it builds the ``Fraction`` matrix on first use, so hot paths
-read ``num`` and ``den`` instead.
+read ``num`` and ``den`` instead: the reduced noise channel is built as
+integer products of per-record reports, and two exact channels are
+compared for leakage equivalence on their primitive integer columns,
+with no ``Fraction`` per entry.
 
 Channels are immutable after construction; builders, cascade and the
 comparison operations are pure, so values can be shared freely across
@@ -32,9 +35,9 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import truediv
+from operator import ge, sub, truediv
 
-from .combinatorics import match_weights, transition_sum
+from .combinatorics import match_weights, record_weights
 from .scalars import FLOAT_TOL, Scalar, all_exact, close, is_exact, require_probability
 
 #: Default bound on k**n for full (dataset-indexed) channel construction.
@@ -376,20 +379,43 @@ def build_krr_reduced(n: int, k: int, p: Scalar) -> Channel:
     """Randomized response lifted to histograms (#histograms x #histograms).
 
     The entry at (z1, z2) is the probability that per-record noise maps a
-    dataset with histogram z1 to some dataset with histogram z2: the sum
-    over k x k transfer tables with row sums z1 and column sums z2 of
-    the table's count times the probability of one such report (see
-    :func:`rrshuffle.combinatorics.transfer_tables`).  It never touches
-    the k**n datasets.
+    dataset with histogram z1 to some dataset with histogram z2.  Records
+    report independently, so row z1 holds the coefficients of the product
+    over the values v of (keep x_v + move sum_{j != v} x_j)^z1[v], with
+    the per-record weights of
+    :func:`~rrshuffle.combinatorics.record_weights`.  The row of z1 is
+    the row of z1 - e_v times one such factor, so rows are built one
+    record count at a time, keeping only the previous count's rows.  It
+    never touches the k**n datasets.  The sum over transfer tables,
+    :func:`~rrshuffle.combinatorics.krr_histogram_transition`, is the
+    reference for every entry.
     """
     _check_nk(n, k)
     _check_p(p, k)
-    hist_list = enumerate_histograms(n, k)
-    labels = tuple(histogram_label(h, k) for h in hist_list)
-    weights, den = match_weights(n, k, p)
-    rows = [tuple(transition_sum(z1, z2, weights) for z2 in hist_list)
-            for z1 in hist_list]
-    return _channel(labels, labels, rows, den)
+    keep, move, base = record_weights(k, p)
+    zero = 0.0 if base is None else 0
+    hists, rows = [(0,) * k], [(1,)]
+    for m in range(1, n + 1):
+        level = enumerate_histograms(m, k)
+        index = {h: j for j, h in enumerate(level)}
+        # targets[i][v]: the position at this count of hists[i] + e_v
+        targets = [[index[h[:v] + (h[v] + 1,) + h[v + 1:]] for v in range(k)]
+                   for h in hists]
+        previous = dict(zip(hists, rows))
+        new = []
+        for z in level:
+            v = next(v for v, c in enumerate(z) if c)
+            factor = [move] * k
+            factor[v] = keep
+            acc = [zero] * len(level)
+            for c, to in zip(previous[z[:v] + (z[v] - 1,) + z[v + 1:]], targets):
+                if c:
+                    for j, f in zip(to, factor):
+                        acc[j] += c * f
+            new.append(tuple(acc))
+        hists, rows = level, new
+    labels = tuple(histogram_label(h, k) for h in hists)
+    return _channel(labels, labels, rows, None if base is None else base**n)
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +525,9 @@ def canonicalize(channel: Channel) -> CanonicalChannel:
     class's mass into its outer probability, and sort.
 
     Exact columns fall in one class when their primitive integer vectors
-    (the column over its gcd) are equal; float columns when their
+    (the column over its gcd) are equal, and the ``Fraction`` posteriors
+    and outer probabilities are built from those classes
+    (:func:`_exact_classes`); float columns fall in one class when their
     posteriors, column / column sum, agree entrywise within
     ``FLOAT_TOL``.
     """
@@ -509,22 +537,29 @@ def canonicalize(channel: Channel) -> CanonicalChannel:
                    for posterior, mass in _float_classes(channel.num)]
     else:
         scale = channel.den * nrows
-        classes = [(Fraction(mass, scale), posterior)
-                   for posterior, mass in _exact_classes(zip(*channel.num))]
+        classes = []
+        for key, mass in _exact_classes(channel.num).items():
+            total = sum(key)
+            classes.append((Fraction(mass, scale), tuple(Fraction(v, total) for v in key)))
     return CanonicalChannel(channel.row_labels, tuple(sorted(classes)))
 
 
-def _exact_classes(columns):
-    """(posterior, summed integer mass) for each primitive column."""
+def _exact_classes(num) -> dict[tuple[int, ...], int]:
+    """{primitive integer column: summed integer mass} over the nonzero
+    columns of the integer rows ``num``: each column divided by its gcd,
+    the sums of the columns with equal primitive vectors added."""
     merged: dict[tuple[int, ...], int] = {}
-    for col in columns:
+    for col in zip(*num):
         g = math.gcd(*col)
         if g:
             key = col if g == 1 else tuple(v // g for v in col)
             merged[key] = merged.get(key, 0) + sum(col)
-    for key, mass in merged.items():
-        total = sum(key)
-        yield tuple(Fraction(v, total) for v in key), mass
+    return merged
+
+
+def _within_tol(xs, ys) -> bool:
+    """|x - y| <= FLOAT_TOL for every pair of entries, in C-level passes."""
+    return all(map(ge, itertools.repeat(FLOAT_TOL), map(abs, map(sub, xs, ys))))
 
 
 def _float_classes(num) -> list[list]:
@@ -551,7 +586,7 @@ def _float_classes(num) -> list[list]:
     for key in sorted(merged):
         near = itertools.takewhile(lambda c: c[0][0] >= key[0] - FLOAT_TOL,
                                    reversed(classes))
-        match = next((c for c in near if all(map(close, c[0], key))), None)
+        match = next((c for c in near if _within_tol(c[0], key)), None)
         if match is None:
             classes.append([key, merged[key]])
         else:
@@ -563,18 +598,23 @@ def equivalent(a: Channel, b: Channel) -> bool:
     """Leakage equivalence: the classes of the two canonical forms match
     one to one, outer probability and posterior entrywise.
 
-    Entries are compared with :func:`close`: exactly when both are
-    rational, within ``FLOAT_TOL`` otherwise, so two exact forms must be
-    equal.  The channels must share their secret (row) labels.
+    Two exact channels are compared on the integers they store: the same
+    primitive integer columns, each with mass_a * den_b == mass_b * den_a.
+    When either side is float, entries are compared within ``FLOAT_TOL``.
+    The channels must share their secret (row) labels.
     """
     if a.row_labels != b.row_labels:
         raise ValueError("channels have different secret labels")
+    if a.is_exact() and b.is_exact():
+        ours, theirs = _exact_classes(a.num), _exact_classes(b.num)
+        return ours.keys() == theirs.keys() and all(
+            mass * b.den == theirs[key] * a.den for key, mass in ours.items())
     columns, rest = canonicalize(a).columns, list(canonicalize(b).columns)
     if len(columns) != len(rest):
         return False
     for outer, posterior in columns:
         match = next((i for i, (o, q) in enumerate(rest)
-                      if close(outer, o) and all(map(close, posterior, q))), None)
+                      if abs(outer - o) <= FLOAT_TOL and _within_tol(posterior, q)), None)
         if match is None:
             return False
         del rest[match]

@@ -371,7 +371,8 @@ def scaled_max_load(n: int, k: int) -> int:
     """k^n times the expected maximum bin load when n balls land
     uniformly in k labeled bins; an exact integer.
 
-    Summed over integer partitions of n, each term being
+    Summed over the partitions of n into l <= k parts (C(k, l) = 0 for
+    more), each term being
     max_part * n!/(prod parts!) / (prod multiplicities!) * l! * C(k, l).
     Equals k^n * n * v_post_shuffle_general(n, k).
     """
@@ -380,10 +381,8 @@ def scaled_max_load(n: int, k: int) -> int:
     if k < 1:
         raise ValueError("k must be at least 1")
     total = 0
-    for lam in partitions(n, n):
+    for lam in partitions(n, k):
         length = lam.length
-        if length > k:
-            continue  # C(k, l) = 0
         term = math.factorial(n)
         for part in lam.parts:
             term //= math.factorial(part)

@@ -215,22 +215,31 @@ def transfer_tables(z_in: Sequence[int], z_out: Sequence[int]) -> Iterator[tuple
     return rows(0, tuple(z_out))
 
 
-def match_weights(n: int, k: int, p: Scalar):
-    """Probability that per-record k-ary randomized response maps a
-    dataset to one given dataset agreeing with it in m positions, for
-    m = 0..n: p**m ((1-p)/(k-1))**(n-m).
+def record_weights(k: int, p: Scalar):
+    """(keep, move, base): the probability that one record's k-ary
+    randomized response keeps its value, and that it reports one given
+    other value, over the per-record denominator ``base``.
 
-    For a rational p = a/b these are integers over the denominator
-    (b (k-1))**n: (a (k-1))**m (b-a)**(n-m).  For a float p they are
-    binary64 and the denominator is None.
+    For a rational p = a/b, keep = a (k-1) and move = b-a are integers
+    over base = b (k-1).  For a float p they are p and (1-p)/(k-1) in
+    binary64, and ``base`` is None.
     """
     if is_exact(p):
         p = Fraction(p)
         a, b = p.numerator, p.denominator
-        stay, move = a * (k - 1), b - a
-        return [stay**m * move ** (n - m) for m in range(n + 1)], (b * (k - 1)) ** n
-    off = (1 - p) / (k - 1)
-    return [p**m * off ** (n - m) for m in range(n + 1)], None
+        return a * (k - 1), b - a, b * (k - 1)
+    return p, (1 - p) / (k - 1), None
+
+
+def match_weights(n: int, k: int, p: Scalar):
+    """Probability that per-record k-ary randomized response maps a
+    dataset to one given dataset agreeing with it in m positions, for
+    m = 0..n: keep**m move**(n-m) with the weights of
+    :func:`record_weights`, over the denominator base**n (None for a
+    float p)."""
+    keep, move, base = record_weights(k, p)
+    weights = [keep**m * move ** (n - m) for m in range(n + 1)]
+    return weights, None if base is None else base**n
 
 
 def transition_sum(z_in: Sequence[int], z_out: Sequence[int], weights: Sequence[Scalar]):
@@ -272,10 +281,10 @@ def epsilon_to_p(epsilon: float, k: int, exact: bool = False) -> Scalar:
     """Truthful-report probability of k-ary randomized response at a
     given privacy parameter: p = e^eps / (k - 1 + e^eps).
 
-    Binary64 by default.  With ``exact`` the rational E / (k - 1 + E),
-    E being the value binary64 e^eps denotes, so eps = 0 gives exactly
-    1/k.  Raises ``ValueError`` for a non-finite epsilon and when e^eps
-    overflows binary64."""
+    The rational E / (k - 1 + E), E being the value binary64 e^eps
+    denotes, so eps = 0 gives exactly 1/k; with ``exact`` unset it is
+    rounded once to binary64.  Raises ``ValueError`` for a non-finite
+    epsilon and when e^eps overflows binary64."""
     if not math.isfinite(epsilon):
         raise ValueError("epsilon must be finite (got %r)" % (epsilon,))
     if epsilon < 0:
@@ -288,9 +297,9 @@ def epsilon_to_p(epsilon: float, k: int, exact: bool = False) -> Scalar:
         raise ValueError(
             "epsilon %r is too large: e^epsilon overflows" % (epsilon,)
         ) from None
-    if exact:
-        e = Fraction(e)
-    return e / (k - 1 + e)
+    e = Fraction(e)
+    p = e / (k - 1 + e)
+    return p if exact else float(p)
 
 
 def p_to_epsilon(p: Scalar, k: int) -> float:

@@ -297,6 +297,46 @@ def test_equivalence_lattice_n5_spot_check():
         assert nsr.rows == srnr.rows
 
 
+@pytest.mark.parametrize("k, n", [(k, n) for k in (2, 3) for n in range(1, 5)])
+def test_exact_equivalence_is_canonical_form_equality(k, n):
+    s, sr = build_shuffle_full(n, k), build_shuffle_reduced(n, k)
+    chans = {"shuffle": s}
+    for p in (Fraction(1, k), Fraction(3, 5)):
+        noise = build_krr(n, k, p)
+        chans.update({("krr", p): noise, ("ns", p): cascade(noise, s),
+                      ("nsr", p): cascade(noise, sr), ("sn", p): cascade(s, noise),
+                      ("srnr", p): cascade(sr, build_krr_reduced(n, k, p))})
+    canon = {name: canonicalize(chan) for name, chan in chans.items()}
+    outcomes = set()
+    for (x, a), (y, b) in itertools.product(chans.items(), repeat=2):
+        same = canon[x] == canon[y]
+        assert equivalent(a, b) == same
+        outcomes.add((x == y, same))
+    assert (False, True) in outcomes
+    assert (False, False) in outcomes
+
+
+def test_exact_equivalence_compares_masses_over_denominators():
+    def chan(*rows):
+        return Channel(("x0", "x1"), tuple("y%d" % j for j in range(len(rows[0]))),
+                       [tuple(map(Fraction, row)) for row in rows])
+
+    two = chan(("3/4", "1/4"), ("1/4", "3/4"))
+    split = chan(("3/8", "3/8", "1/4"), ("1/8", "1/8", "3/4"))
+    padded = chan(("3/4", "0", "1/4"), ("1/4", "0", "3/4"))
+    # the same three posteriors, (3/4, 1/4), (1/4, 3/4) and (1/2, 1/2),
+    # with outer probabilities 1/4, 1/4, 1/2 and 2/5, 2/5, 1/5
+    heavy = chan(("3/8", "1/8", "1/2"), ("1/8", "3/8", "1/2"))
+    light = chan(("3/5", "1/5", "1/5"), ("1/5", "3/5", "1/5"))
+    assert two.den != split.den
+    assert (sorted(q for _, q in canonicalize(heavy).columns)
+            == sorted(q for _, q in canonicalize(light).columns))
+    for a, b, want in ((two, split, True), (two, padded, True), (padded, split, True),
+                       (heavy, light, False), (two, heavy, False)):
+        assert equivalent(a, b) == equivalent(b, a) == want
+        assert (canonicalize(a) == canonicalize(b)) == want
+
+
 def test_float_equivalence_tolerance_path():
     s = build_shuffle_full(3, 2)
     noise_f = build_krr(3, 2, 0.75)
@@ -539,6 +579,21 @@ def test_krr_reduced_general_k_matches_full_aggregation(n, k):
             want = total / len(members)
             assert reduced.rows[zi][zj] == want
             assert krr_histogram_transition(z1, z2, p) == want
+
+
+@pytest.mark.parametrize("n, k", [(6, 3), (4, 4), (3, 5), (10, 2)])
+def test_krr_reduced_equals_transfer_table_reference(n, k):
+    hists = enumerate_histograms(n, k)
+    for p in (Fraction(1, k), Fraction(3, 5), Fraction(1)):
+        chan = build_krr_reduced(n, k, p)
+        assert chan.rows == tuple(
+            tuple(krr_histogram_transition(z1, z2, p) for z2 in hists) for z1 in hists)
+    exact = build_krr_reduced(n, k, Fraction(3, 5))
+    approx = build_krr_reduced(n, k, 0.6)
+    assert not approx.is_exact()
+    for erow, frow in zip(exact.rows, approx.rows):
+        assert all(isinstance(f, float) and abs(e - f) <= FLOAT_TOL
+                   for e, f in zip(erow, frow))
 
 
 def test_krr_reduced_float_mode_general_k():

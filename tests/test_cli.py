@@ -365,6 +365,14 @@ def test_exact_epsilon_zero_is_uniform_noise(capsys, k):
     ] * 3
 
 
+def test_float_epsilon_p_is_rounded_once(capsys):
+    # k - 1 + e^eps rounded before the division gave 0.3521874283517515
+    code, out, err = run(capsys, "sweep", "--mech", "krr", "--k", "6",
+                         "--n-start", "1", "--n-end", "1", "--epsilon", "1")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1].split(",")[3] == "0.35218742835175143"
+
+
 def test_exact_epsilon_reads_binary64_e_to_the_epsilon(capsys):
     e = Fraction(math.exp(1.0))
     for k in (2, 3, 5):

@@ -301,9 +301,9 @@ def test_max_load_small_values():
 
 
 def test_max_load_forms_agree():
-    for k in range(2, 6):
-        for n in range(1, 13):
-            assert scaled_max_load(n, k) == scaled_max_load_via_multinomials(n, k)
+    cases = [(n, k) for k in range(2, 6) for n in range(1, 13)]
+    for n, k in cases + [(50, 3), (60, 2), (30, 5)]:
+        assert scaled_max_load(n, k) == scaled_max_load_via_multinomials(n, k)
 
 
 def test_max_load_ties_to_shuffle_vulnerability():

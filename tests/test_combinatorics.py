@@ -302,6 +302,12 @@ def test_exact_epsilon_to_p_reads_binary64_e_to_the_epsilon():
         assert float(p) == pytest.approx(epsilon_to_p(1.0, k), rel=1e-15)
 
 
+@pytest.mark.parametrize("k", range(2, 11))
+def test_float_epsilon_to_p_is_the_exact_p_rounded_once(k):
+    for epsilon in (0.0, 0.5, 1.0, 2.0):
+        assert epsilon_to_p(epsilon, k) == float(epsilon_to_p(epsilon, k, exact=True))
+
+
 def test_p_to_epsilon_singularities():
     with pytest.raises(ValueError, match="infinite"):
         p_to_epsilon(1.0, 2)
