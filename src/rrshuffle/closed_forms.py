@@ -6,10 +6,11 @@ their single-binomial form, 1/2 + |p - 1/2| times the largest point
 probability of the other records' noisy count, also gives the
 all-but-one adversary's vulnerability.
 For general k the shuffle vulnerability is the expected maximum bin load,
-evaluated by one bounded-load recursion over bin sizes in polynomial
-time: exact integers for moderate n, Poisson-weighted binary64 for large
-sweeps.  The partition and composition sums it replaces stay as
-references for the check suites.
+evaluated in polynomial time by one bounded-load recursion over bin
+sizes below n/2 (exact integers for moderate n, Poisson-weighted
+binary64 for large sweeps) and, above, one binomial sum.  The partition
+and composition sums it replaces stay as references for the check
+suites.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterator, Literal, NamedTuple, Optional
 
 from .combinatorics import multinomial, partition_terms, partitions
@@ -207,7 +209,8 @@ def _max_load_tails(n: int, k: int, exact: bool) -> list[Scalar]:
     m = 0, ..., n - 1, where A_m counts the maps of n labelled records into
     k labelled bins that put no more than m records in any bin.
 
-    One pass over bin sizes v = m + 1.  Row u of the table holds, for each
+    The lower tails come from one pass over bin sizes v = m + 1 for
+    v = 1, ..., floor(n/2) - 1.  Row u of the table holds, for each
     r <= n, W[u][r]: the ways to put r labelled records into an ordered row
     of u non-empty bins, none above the current size bound.  Admitting
     bins of size v adds, for each count c of them among the u bins,
@@ -221,6 +224,12 @@ def _max_load_tails(n: int, k: int, exact: bool) -> list[Scalar]:
     nothing overflows, and A_m / k^n = sum_u C(k, u) e^{-(k-u) n/k}
     w[u][n] / P(Po(n) = n).  Every term is non-negative, so the recursion
     cancels nothing; rounding cancels only in the final 1 - A_m / k^n.
+
+    From m = floor(n/2) on, 2(m + 1) > n, so at most one bin can hold more
+    than m records, and k^n - A_m = k sum_{j>m} C(n, j) (k - 1)^(n-j), the
+    first Bonferroni term and no more (:func:`_one_bin_tails`).  Both
+    modes take these tails as exact integers; a float tail is the integer
+    over k^n, rounded once.
     """
     u_max = min(k, n)
     if exact:
@@ -240,18 +249,22 @@ def _max_load_tails(n: int, k: int, exact: bool) -> list[Scalar]:
             for u in range(u_max + 1)
         ]
     tails = [full]  # m = 0: every map has a non-empty bin
-    for v in range(1, n):
+    for v in range(1, n // 2):
         c_max = min(u_max, n // v)
         if exact:
-            # r! / ((r - cv)! v!^c) by r - cv, for each count c of size-v bins
+            # r! / ((r - cv)! v!^c) by r - cv, for each count c of size-v bins,
+            # from (cv)! / v!^c by C(r + 1, cv) = C(r, cv) (r + 1) / (r + 1 - cv)
             spread = [None]
             ways = 1  # (cv)! / v!^c
             for c in range(1, c_max + 1):
-                ways *= math.comb(c * v, v)
-                top = min((u_max - c) * (v - 1), n - c * v) + c * v
-                spread.append(
-                    [ways * math.comb(r, c * v) for r in range(c * v, top + 1)]
-                )
+                cv = c * v
+                ways *= math.comb(cv, v)
+                top = min((u_max - c) * (v - 1), n - cv) + cv
+                spread.append(list(accumulate(
+                    range(cv + 1, top + 1),
+                    lambda x, r: x * r // (r - cv),
+                    initial=ways,
+                )))
         else:
             weight = math.exp(-lam + v * log_lam - math.lgamma(v + 1))
         for u in range(u_max, 0, -1):
@@ -279,6 +292,29 @@ def _max_load_tails(n: int, k: int, exact: bool) -> list[Scalar]:
                     ]
         bounded = (choose_k[u] * rows[u][n] for u in range(1, u_max + 1))
         tails.append(full - sum(bounded) if exact else 1.0 - math.fsum(bounded))
+    upper = _one_bin_tails(n, k, max(n // 2, 1))
+    if not exact:
+        scale = k**n
+        upper = [t / scale for t in upper]
+    return tails + upper
+
+
+def _one_bin_tails(n: int, k: int, m0: int) -> list[int]:
+    """k^n - A_m for m = m0, ..., n - 1 with 2(m0 + 1) > n: the maps that
+    put more than m records in some bin, which is then the only such bin,
+    k sum_{j>m} C(n, j) (k - 1)^(n-j).
+
+    One pass from j = n down, the terms by
+    C(n, j - 1) (k - 1)^(n-j+1) = C(n, j) (k - 1)^(n-j) j (k - 1) / (n - j + 1),
+    which divides exactly.
+    """
+    tails = []
+    term = total = 1  # j = n
+    for j in range(n, m0, -1):
+        tails.append(k * total)  # m = j - 1
+        term = term * j * (k - 1) // (n - j + 1)
+        total += term
+    tails.reverse()
     return tails
 
 
@@ -294,10 +330,13 @@ def v_post_shuffle_general(
     multinomial count and scoring the adversary's best guess max_j n_j / n,
     so k^n n V is the summed maximum bin load of the k^n maps of records
     to values.  The default evaluates that as
-    sum_{m<n} (k^n - A_m), A_m counting the maps with no bin above m, by
-    one bounded-load recursion over bin sizes (:func:`_max_load_tails`):
-    about n^2 min(k, n) (1 + ln k) operations, exact integers or
-    Poisson-weighted binary64.  The partition method, the reference,
+    sum_{m<n} (k^n - A_m), A_m counting the maps with no bin above m
+    (:func:`_max_load_tails`): one bounded-load recursion over bin sizes
+    below floor(n/2), at most about n^2 min(k, n) (1 + ln k) operations,
+    exact integers or Poisson-weighted binary64, gives the tails for
+    m < floor(n/2); above, only one bin can exceed m, so
+    k^n - A_m = k sum_{j>m} C(n, j) (k - 1)^(n-j), one exact binomial
+    sum in both modes.  The partition method, the reference,
     groups histograms by their partition shape, one term per partition
     (~n^(k-1) of them), its coefficient built by the one recursion of
     :func:`~rrshuffle.combinatorics.partition_terms`; the composition

@@ -23,6 +23,7 @@ from rrshuffle.closed_forms import (
     v_post_shuffle_binary_sum,
     v_post_shuffle_general,
 )
+from rrshuffle.combinatorics import multinomial
 from rrshuffle.scalars import FLOAT_TOL
 
 P_GRID = [Fraction(1, 2), Fraction(3, 5), Fraction(3, 4), Fraction(9, 10), Fraction(1)]
@@ -173,14 +174,6 @@ def test_general_shuffle_matches_binary():
         assert v_post_shuffle_general(n, 2, exact=True) == v_post_shuffle_binary_sum(n)
 
 
-def test_partition_equals_composition():
-    for k in range(2, 6):
-        for n in range(1, 13):
-            assert v_post_shuffle_general(n, k, exact=True) == v_post_shuffle_general(
-                n, k, method="composition", exact=True
-            )
-
-
 def test_general_shuffle_anchors():
     assert v_post_shuffle_general(100, 3) == pytest.approx(0.3826, abs=5e-4)
     assert v_post_shuffle_general(1000, 3) == pytest.approx(0.3488, abs=5e-4)
@@ -214,14 +207,42 @@ def test_bounded_load_equals_partition_sum_at_larger_sizes():
 
 # (70, 10**6): C(k, u) exceeds the float range for u >= 68.
 @pytest.mark.parametrize(
-    "n,k", [(300, 3), (120, 5), (80, 6), (100, 10), (40, 40), (70, 10**6)]
+    "n,k",
+    [(1000, 3), (300, 3), (125, 4), (120, 5), (80, 6), (100, 10), (40, 40), (70, 10**6)],
 )
 def test_bounded_load_float_close_to_exact(n, k):
     exact = v_post_shuffle_general(n, k, exact=True)
     assert isinstance(exact, Fraction)
     floating = v_post_shuffle_general(n, k, exact=False)
     assert isinstance(floating, float)
-    assert abs(floating - float(exact)) <= FLOAT_TOL
+    assert abs(Fraction(floating) - exact) <= 1e-12
+
+
+def _literal_tails(n, k):
+    """k^n minus the maps whose largest bin holds at most m records, for
+    m = 0..n-1, counted composition by composition."""
+    by_max = [0] * (n + 1)
+    for comp in closed_forms._compositions(n, k):
+        by_max[max(comp)] += multinomial(n, comp)
+    bounded = list(itertools.accumulate(by_max))
+    return [k**n - bounded[m] for m in range(n)]
+
+
+def test_max_load_tails_are_the_literal_counts():
+    # every m on both sides of floor(n/2), where the recursion hands over
+    # to the one-overloaded-bin sum; (4, 10) has k > n
+    cases = [(n, k) for k in range(2, 6) for n in range(1, 13)] + [(4, 10)]
+    for n, k in cases:
+        assert closed_forms._max_load_tails(n, k, True) == _literal_tails(n, k)
+
+
+def test_upper_float_tails_are_the_exact_tails_rounded_once():
+    for n, k in [(n, k) for k in range(2, 6) for n in range(1, 13)] + [(125, 4), (301, 3)]:
+        exact = closed_forms._max_load_tails(n, k, True)
+        floating = closed_forms._max_load_tails(n, k, False)
+        assert len(floating) == n
+        for m in range(max(n // 2, 1), n):
+            assert floating[m] == float(Fraction(exact[m], k**n))
 
 
 def test_partition_method_float_mode():
