@@ -45,7 +45,6 @@ from .closed_forms import (
     v_post_shuffle_general,
 )
 from .combinatorics import (
-    IntegerPartition,
     binomial,
     epsilon_to_p,
     krr_histogram_transition,

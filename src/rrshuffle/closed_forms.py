@@ -9,8 +9,8 @@ For general k the shuffle vulnerability is the expected maximum bin load,
 evaluated in polynomial time by one bounded-load recursion over bin
 sizes below n/2 (exact integers for moderate n, Poisson-weighted
 binary64 for large sweeps) and, above, one binomial sum.  The partition
-and composition sums it replaces stay as references for the check
-suites.
+sum it replaces stays as the reference the check suites compare it with;
+the composition sum stays only as a test of the partition sum.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Iterator, Literal, NamedTuple, Optional
 
-from .combinatorics import multinomial, partition_terms, partitions
+from .combinatorics import multinomial, partition_terms
 from .scalars import Scalar, is_exact, require_probability
 
 #: Largest n for which the general-k evaluators default to exact rationals.
@@ -410,31 +410,21 @@ def scaled_max_load(n: int, k: int) -> int:
     """k^n times the expected maximum bin load when n balls land
     uniformly in k labeled bins; an exact integer.
 
-    Summed over the partitions of n into l <= k parts (C(k, l) = 0 for
-    more), each term being
-    max_part * n!/(prod parts!) / (prod multiplicities!) * l! * C(k, l).
-    Equals k^n * n * v_post_shuffle_general(n, k).
+    The sum over m < n of k^n - A_m, A_m counting the maps with no bin
+    above m: the integer the default exact path of
+    :func:`v_post_shuffle_general` divides by k^n n, from the bounded-load
+    recursion and one-bin tails of :func:`_max_load_tails`.  k = 1 gives n.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     if k < 1:
         raise ValueError("k must be at least 1")
-    total = 0
-    for lam in partitions(n, k):
-        length = lam.length
-        term = math.factorial(n)
-        for part in lam.parts:
-            term //= math.factorial(part)
-        for _, count in lam.multiplicities:
-            term //= math.factorial(count)
-        term *= math.factorial(length) * math.comb(k, length) * lam.max_part
-        total += term
-    return total
+    return sum(_max_load_tails(n, k, True))
 
 
 def scaled_max_load_via_multinomials(n: int, k: int) -> int:
-    """Same integer as :func:`scaled_max_load`, written with the pair of
-    multinomial coefficients used by the vulnerability sum:
+    """Same integer as :func:`scaled_max_load`, by the partition sum, its
+    reference: the pair of multinomial coefficients of the vulnerability sum,
     multinomial(n; parts) * multinomial(k; multiplicities, k - length)
     times the largest part, summed over the partitions of n into at most
     k parts.  The coefficients come from

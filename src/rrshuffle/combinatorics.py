@@ -1,17 +1,16 @@
 """Exact combinatorial primitives and k-RR histogram transitions.
 
 Counting functions return arbitrary-precision integers, so results such
-as binomial(199, 99) are exact.  Integer partitions come two ways:
-:func:`partitions` yields each shape as an :class:`IntegerPartition`, and
-:func:`partition_terms` yields only what the histogram sums need, each
-shape's coefficient and largest part, from one recursion that carries
-the coefficient with no object or validated multinomial per term.
+as binomial(199, 99) are exact.  :func:`partition_terms` yields what the
+histogram sums need for each partition shape, its coefficient and
+largest part, from one recursion that carries the coefficient with no
+validated multinomial per term; :func:`partitions` yields the shapes
+themselves as plain tuples, the literal enumeration it is tested against.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -53,59 +52,22 @@ def log_multinomial(n: int, parts: Sequence[int]) -> float:
     return math.lgamma(n + 1) - sum(math.lgamma(p + 1) for p in parts)
 
 
-@dataclass(frozen=True)
-class IntegerPartition:
-    """A partition of an integer into non-increasing positive parts."""
-
-    parts: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(p <= 0 for p in self.parts):
-            raise ValueError("parts must be positive")
-        if any(a < b for a, b in zip(self.parts, self.parts[1:])):
-            raise ValueError("parts must be non-increasing")
-
-    @property
-    def total(self) -> int:
-        return sum(self.parts)
-
-    @property
-    def length(self) -> int:
-        """Number of (positive) parts."""
-        return len(self.parts)
-
-    @property
-    def max_part(self) -> int:
-        return self.parts[0] if self.parts else 0
-
-    @property
-    def multiplicities(self) -> tuple[tuple[int, int], ...]:
-        """(part value, count) pairs, in decreasing part order."""
-        out: list[tuple[int, int]] = []
-        for p in self.parts:
-            if out and out[-1][0] == p:
-                out[-1] = (p, out[-1][1] + 1)
-            else:
-                out.append((p, 1))
-        return tuple(out)
-
-
-def partitions(n: int, max_parts: int) -> Iterator[IntegerPartition]:
+def partitions(n: int, max_parts: int) -> Iterator[tuple[int, ...]]:
     """All partitions of n into at most ``max_parts`` positive parts.
 
-    Yields each partition exactly once, in decreasing lexicographic
-    order of the parts tuple, e.g. (6, 3) gives [6], [5,1], [4,2],
-    [4,1,1], [3,3], [3,2,1], [2,2,2].  n = 0 yields the single empty
-    partition.
+    Yields each partition exactly once as a non-increasing tuple of its
+    parts, in decreasing lexicographic order, e.g. (6, 3) gives (6,),
+    (5, 1), (4, 2), (4, 1, 1), (3, 3), (3, 2, 1), (2, 2, 2).  n = 0 yields
+    the single empty partition.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
     if max_parts < 1:
         raise ValueError("max_parts must be at least 1")
 
-    def rec(remaining: int, bound: int, prefix: list[int]) -> Iterator[IntegerPartition]:
+    def rec(remaining: int, bound: int, prefix: list[int]) -> Iterator[tuple[int, ...]]:
         if remaining == 0:
-            yield IntegerPartition(tuple(prefix))
+            yield tuple(prefix)
             return
         if len(prefix) == max_parts:
             return

@@ -100,12 +100,12 @@ def test_criterion_06_equivalence_lattice():
 def test_criterion_07_max_load_and_partition_identities():
     results = checks.suite_max_load(12)
     assert_suite_clean(results)
-    print("PASS criterion 7: max-load and partition/composition identities "
-          "hold exactly for n<=12, k<=5; partitions(6,3) yields 7")
+    print("PASS criterion 7: bounded-load recursion and partition sum give the "
+          "same max-load integer for n<=12, k<=5; partition_terms(6,3) yields 7")
 
 
 def test_criterion_08_data_processing_inequality():
-    results = checks.suite_dpi(4, pairs=50)
+    results = checks.suite_dpi(4)
     assert_suite_clean(results)
     print("PASS criterion 8: shuffling noisy output never increases "
           "vulnerability on 50 random prior/gain pairs (n=4, k in {2,3})")

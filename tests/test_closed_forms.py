@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rrshuffle import closed_forms
+from rrshuffle import checks, closed_forms
 from rrshuffle.closed_forms import (
     MechanismSpec,
     count_mode_probability,
@@ -174,19 +174,6 @@ def test_general_shuffle_matches_binary():
         assert v_post_shuffle_general(n, 2, exact=True) == v_post_shuffle_binary_sum(n)
 
 
-def test_general_shuffle_anchors():
-    assert v_post_shuffle_general(100, 3) == pytest.approx(0.3826, abs=5e-4)
-    assert v_post_shuffle_general(1000, 3) == pytest.approx(0.3488, abs=5e-4)
-
-
-def test_general_float_close_to_exact():
-    for n, k in [(12, 3), (20, 4), (40, 5)]:
-        exact = v_post_shuffle_general(n, k, exact=True)
-        assert v_post_shuffle_general(n, k, exact=False) == pytest.approx(
-            float(exact), abs=1e-11
-        )
-
-
 def test_bounded_load_equals_partition_and_composition():
     cases = [(n, k) for k in range(2, 8) for n in range(1, 16)]
     cases += [(n, 10) for n in range(1, 5)]  # k > n
@@ -208,7 +195,8 @@ def test_bounded_load_equals_partition_sum_at_larger_sizes():
 # (70, 10**6): C(k, u) exceeds the float range for u >= 68.
 @pytest.mark.parametrize(
     "n,k",
-    [(1000, 3), (300, 3), (125, 4), (120, 5), (80, 6), (100, 10), (40, 40), (70, 10**6)],
+    [(12, 3), (20, 4), (40, 5), (1000, 3), (300, 3), (125, 4), (120, 5), (80, 6), (100, 10),
+     (40, 40), (70, 10**6)],
 )
 def test_bounded_load_float_close_to_exact(n, k):
     exact = v_post_shuffle_general(n, k, exact=True)
@@ -216,6 +204,13 @@ def test_bounded_load_float_close_to_exact(n, k):
     floating = v_post_shuffle_general(n, k, exact=False)
     assert isinstance(floating, float)
     assert abs(Fraction(floating) - exact) <= 1e-12
+
+
+@given(st.integers(min_value=1, max_value=300), st.integers(min_value=2, max_value=10))
+@settings(max_examples=10, deadline=None)
+def test_bounded_load_float_close_to_exact_property(n, k):
+    exact = v_post_shuffle_general(n, k, exact=True)
+    assert abs(Fraction(v_post_shuffle_general(n, k, exact=False)) - exact) <= 1e-12
 
 
 def _literal_tails(n, k):
@@ -319,6 +314,14 @@ def test_max_load_small_values():
     for k in (2, 3, 5, 8):
         assert scaled_max_load(1, k) == k
     assert scaled_max_load(3, 2) == 18  # 2^3 * 3 * (3/4)
+    for n in (1, 2, 5, 40):
+        assert scaled_max_load(n, 1) == n  # one bin holds every ball
+
+
+def test_max_load_validation():
+    for n, k in ((0, 3), (-1, 2), (3, 0)):
+        with pytest.raises(ValueError):
+            scaled_max_load(n, k)
 
 
 def test_max_load_forms_agree():
@@ -327,18 +330,29 @@ def test_max_load_forms_agree():
         assert scaled_max_load(n, k) == scaled_max_load_via_multinomials(n, k)
 
 
-def test_max_load_ties_to_shuffle_vulnerability():
-    for k in (2, 3, 4):
-        for n in (1, 2, 5, 9, 12):
-            expected = v_post_shuffle_general(n, k, exact=True) * k**n * n
-            assert scaled_max_load(n, k) == expected
-
-
 def test_max_load_6_3_uses_seven_partitions():
-    from rrshuffle.combinatorics import partitions
+    from rrshuffle.combinatorics import partition_terms
 
-    assert sum(1 for _ in partitions(6, 3)) == 7
-    assert scaled_max_load(6, 3) == v_post_shuffle_general(6, 3, exact=True) * 3**6 * 6
+    assert sum(1 for _ in partition_terms(6, 3)) == 7
+    # the largest bin summed over the 3^6 maps, counted map by map
+    literal = sum(max(map(x.count, range(3))) for x in itertools.product(range(3), repeat=6))
+    assert scaled_max_load(6, 3) == literal == 2358
+
+
+def test_max_load_suite_has_one_line_per_point():
+    for max_n in (1, 4, 12):
+        results = checks.suite_max_load(max_n)
+        assert len(results) == 1 + 4 * max_n
+        assert all(r.passed for r in results)
+
+
+def test_max_load_suite_fails_every_point_when_the_reference_differs(monkeypatch):
+    reference = closed_forms.scaled_max_load_via_multinomials
+    monkeypatch.setattr(closed_forms, "scaled_max_load_via_multinomials",
+                        lambda n, k: reference(n, k) + 1)
+    results = checks.suite_max_load(6)
+    assert results[0].passed  # the partition count does not read the reference
+    assert len(results) > 1 and not any(r.passed for r in results[1:])
 
 
 # ---------------------------------------------------------------------------
