@@ -35,7 +35,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import ge, sub, truediv
+from operator import floordiv, ge, sub, truediv
 
 from .combinatorics import match_weights, record_weights
 from .scalars import FLOAT_TOL, Scalar, all_exact, close, is_exact, require_probability
@@ -170,7 +170,7 @@ class Channel:
             reduced: dict[int, tuple[int, ...]] = {}
             for row in num:
                 if id(row) not in reduced:
-                    reduced[id(row)] = tuple(v // g for v in row)
+                    reduced[id(row)] = tuple(map(floordiv, row, itertools.repeat(g)))
             num = [reduced[id(row)] for row in num]
         self = object.__new__(cls)
         self._fill(row_labels, col_labels, tuple(num), den)
@@ -260,8 +260,12 @@ class Channel:
         """CSV dump: header of column labels, one row per secret.
 
         Entries are decimal strings, or exact ``num/den`` fractions when
-        ``exact`` is set.  Labels are alphanumeric/colon so no quoting
-        is needed; lines end with LF.
+        ``exact`` is set.  Each distinct stored value is formatted once,
+        and each row is joined from those texts, except where equal
+        values print differently: a float row holding a zero (0.0 and
+        -0.0) is formatted entry by entry, and so is a float channel
+        printed with ``exact`` (``Fraction(1, 2)`` and 0.5).  Labels are
+        alphanumeric/colon so no quoting is needed; lines end with LF.
         """
         rows, den = self.num, self.den
         if den is None:
@@ -278,9 +282,12 @@ class Channel:
                 g = math.gcd(v, den)
                 return "%d" % (v // g) if g == den else "%d/%d" % (v // g, den // g)
 
+        per_entry = den is None and exact
+        memo = {} if per_entry else {v: fmt(v) for v in set().union(*rows)}
         lines = ["secret," + ",".join(self.col_labels)]
         for label, row in zip(self.row_labels, rows):
-            lines.append(label + "," + ",".join(map(fmt, row)))
+            each = fmt if per_entry or (den is None and 0 in row) else memo.__getitem__
+            lines.append(label + "," + ",".join(map(each, row)))
         return "\n".join(lines) + "\n"
 
 
@@ -483,11 +490,19 @@ def _matmul(A, B, ncols: int, zero) -> list[tuple]:
 
 
 def _binary64(channel: Channel):
-    """Rows as binary64; an exact entry becomes its correctly rounded float."""
+    """Rows as binary64; an exact entry becomes its correctly rounded float.
+
+    Each row object is converted once, in one C-level pass, so rows that
+    are one object (one shuffle class) stay one object.
+    """
     if channel.den is None:
         return channel.num
-    den = channel.den
-    return [tuple(v / den for v in row) for row in channel.num]
+    den = itertools.repeat(channel.den)
+    converted: dict[int, tuple[float, ...]] = {}
+    for row in channel.num:
+        if id(row) not in converted:
+            converted[id(row)] = tuple(map(truediv, row, den))
+    return [converted[id(row)] for row in channel.num]
 
 
 def identity_channel(labels: tuple[str, ...]) -> Channel:

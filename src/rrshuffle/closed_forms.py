@@ -378,8 +378,11 @@ def v_post_ns_general(
     """Noise then shuffle for any alphabet size.
 
     The default rewrites the sum as a linear function of the pure-shuffle
-    value: V = V_S (kp - 1)/(k - 1) + (1 - p)/(k - 1).  The partition
-    method evaluates the direct sum, whose per-histogram score is
+    value: V = V_S (kp - 1)/(k - 1) + (1 - p)/(k - 1).  In float mode
+    both factors lie in [0, 1], so the result keeps the float V_S's
+    distance to the exact value (tested within 1e-12 for n <= 300 and
+    k <= 10) up to a few roundings.  The partition method evaluates the
+    direct sum, whose per-histogram score is
     (n* p + (n - n*)(1-p)/(k-1)) / n, and is kept for cross-checking.
     """
     if n < 1:

@@ -19,7 +19,6 @@ from .channels import (
     build_krr,
     build_shuffle_full,
     cascade,
-    enumerate_datasets,
     histogram_of,
 )
 from .scalars import Scalar, is_exact
@@ -44,7 +43,8 @@ def oracle_posterior(
     Builds the full channel for each stage ('krr' or 'shuffle'),
     cascades them in the given order, and evaluates
     sum_y max_w sum_{x: x0 = w} pi_x C[x, y] directly under the uniform
-    prior.  Exact rationals only.
+    prior: the rows with x0 = w are one contiguous block, whose column
+    sums are taken in one pass.  Exact rationals only.
     """
     if not pipeline:
         raise ValueError("pipeline must name at least one mechanism")
@@ -65,17 +65,15 @@ def oracle_posterior(
             raise ValueError("unknown pipeline stage %r" % (kind,))
         channel = stage if channel is None else cascade(channel, stage)
 
-    # The entries are channel.num over channel.den: sum the numerators
-    # and divide once, by den and by the k**n of the uniform prior.
-    X = enumerate_datasets(n, k)
-    total = 0
-    for column in zip(*channel.num):
-        best = 0
-        for w in range(k):
-            gained = sum(c for c, x in zip(column, X) if x[0] == w)
-            if gained > best:
-                best = gained
-        total += best
+    # The entries are channel.num over channel.den.  Rows follow
+    # enumerate_datasets, where the target's value is the most
+    # significant digit, so the datasets with x0 = w are the w-th block
+    # of k**(n - 1) rows: sum each block's columns, take the largest
+    # block sum in each column, and divide once, by den and by the k**n
+    # of the uniform prior.
+    size = k ** (n - 1)
+    blocks = [map(sum, zip(*channel.num[w * size:(w + 1) * size])) for w in range(k)]
+    total = sum(map(max, *blocks))
     return Fraction(total, channel.den * k**n)
 
 

@@ -33,7 +33,7 @@ from rrshuffle.channels import (
     verify_ldp,
 )
 from rrshuffle.combinatorics import krr_histogram_transition
-from rrshuffle.scalars import FLOAT_TOL
+from rrshuffle.scalars import FLOAT_TOL, is_exact
 from rrshuffle.vulnerability import (
     GainFunction,
     Prior,
@@ -463,6 +463,73 @@ def test_csv_pinned_ns_channel():
         "bb,0.1111111111111111,0.2222222222222222,0.2222222222222222,"
         "0.4444444444444444\n"
     )
+
+
+def reference_csv(chan, exact=False):
+    """The CSV dump formatted entry by entry: the reference for
+    ``Channel.to_csv``, which formats each distinct value once."""
+    den = chan.den
+    if den is None:
+
+        def fmt(e):
+            if exact:
+                return str(Fraction(e)) if is_exact(e) else repr(e)
+            return repr(float(e))
+    else:
+
+        def fmt(v):
+            if not exact:
+                return repr(v / den)
+            g = math.gcd(v, den)
+            return "%d" % (v // g) if g == den else "%d/%d" % (v // g, den // g)
+
+    lines = ["secret," + ",".join(chan.col_labels)]
+    for label, row in zip(chan.row_labels, chan.num):
+        lines.append(label + "," + ",".join(map(fmt, row)))
+    return "\n".join(lines) + "\n"
+
+
+def builder_channels(n, k, p):
+    """Every channel the CLI dumps, built at (n, k) with noise p."""
+    krr, shuffle = build_krr(n, k, p), build_shuffle_full(n, k)
+    return [krr, build_krr_reduced(n, k, p), shuffle, build_shuffle_reduced(n, k),
+            cascade(krr, shuffle), cascade(shuffle, krr),
+            cascade(krr, build_shuffle_reduced(n, k))]
+
+
+@pytest.mark.parametrize("n,k", [(1, 2), (3, 2), (5, 2), (1, 3), (2, 3), (4, 3), (2, 4)])
+def test_csv_equals_entrywise_reference(n, k):
+    for p in (Fraction(1, k), Fraction(35, 64), Fraction(1)):
+        for chan in builder_channels(n, k, p):
+            assert chan.is_exact()
+            for exact in (True, False):
+                assert chan.to_csv(exact=exact) == reference_csv(chan, exact)
+        for chan in builder_channels(n, k, float(p)):
+            if chan.is_exact():  # the shuffle channels take no p
+                continue
+            for exact in (True, False):
+                assert chan.to_csv(exact=exact) == reference_csv(chan, exact)
+    for eps in (0.5, 2.0):
+        for chan in (build_last_record_reporter(n + 1, eps, exact=False),
+                     build_parity_masked_reporter(n + 1, eps, exact=False)):
+            assert chan.to_csv() == reference_csv(chan)
+
+
+def test_csv_float_zeros_keep_their_sign():
+    # 0.0 and -0.0 are one dict key; each must still print as stored
+    chan = Channel(("a", "b"), ("x", "y"), ((-0.0, 1.0), (0.0, 1.0)))
+    assert chan.to_csv() == "secret,x,y\na,-0.0,1.0\nb,0.0,1.0\n"
+    chan = Channel(("a", "b"), ("x", "y", "z"), ((0.0, 1.0, -0.0), (-0.0, 0.5, 0.5)))
+    assert chan.to_csv() == reference_csv(chan) == (
+        "secret,x,y,z\na,0.0,1.0,-0.0\nb,-0.0,0.5,0.5\n")
+
+
+def test_csv_float_channel_with_fractions_prints_each_entry():
+    # Fraction(1, 2) == 0.5, yet with exact=True they print differently
+    chan = Channel(("a", "b"), ("x", "y"), ((Fraction(1, 2), 0.5), (Fraction(1, 2), 0.5)))
+    assert not chan.is_exact()
+    assert chan.to_csv(exact=True) == "secret,x,y\na,1/2,0.5\nb,1/2,0.5\n"
+    assert chan.to_csv() == "secret,x,y\na,0.5,0.5\nb,0.5,0.5\n"
 
 
 # ---------------------------------------------------------------------------

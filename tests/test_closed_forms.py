@@ -213,6 +213,29 @@ def test_bounded_load_float_close_to_exact_property(n, k):
     assert abs(Fraction(v_post_shuffle_general(n, k, exact=False)) - exact) <= 1e-12
 
 
+@given(st.integers(min_value=1, max_value=300), st.integers(min_value=2, max_value=10),
+       st.integers(min_value=0, max_value=1000))
+@settings(max_examples=10, deadline=None)
+def test_linear_relation_float_close_to_exact_property(n, k, step):
+    # the float relation carries the recursion's 1e-12 through factors at
+    # most 1; the float p is the exact one rounded once
+    p = Fraction(1, k) + (1 - Fraction(1, k)) * Fraction(step, 1000)
+    exact = v_post_ns_general(n, k, p, exact=True)
+    floating = v_post_ns_general(n, k, float(p), exact=False)
+    assert isinstance(floating, float)
+    assert abs(Fraction(floating) - exact) <= 1e-12
+
+
+@given(st.integers(min_value=1, max_value=3000), st.floats(min_value=0.5, max_value=1.0))
+@settings(max_examples=50, deadline=None)
+def test_binary_mode_form_float_close_to_exact_property(n, p):
+    # 1/2 + |p - 1/2| M with the exact mode M rounded once: a few ulp of 1
+    exact = v_post_ns_binary_fast(n, Fraction(p))
+    floating = v_post_ns_binary_fast(n, p)
+    assert isinstance(floating, float)
+    assert abs(Fraction(floating) - exact) <= 1e-15
+
+
 def _literal_tails(n, k):
     """k^n minus the maps whose largest bin holds at most m records, for
     m = 0..n-1, counted composition by composition."""

@@ -3,7 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from rrshuffle.channels import CapExceededError, enumerate_histograms
+from rrshuffle.channels import (
+    CapExceededError,
+    build_krr,
+    build_shuffle_full,
+    cascade,
+    enumerate_datasets,
+    enumerate_histograms,
+)
 from rrshuffle.combinatorics import krr_histogram_transition
 from rrshuffle.oracle import (
     ORACLE_CAP,
@@ -32,6 +39,32 @@ def test_oracle_pipeline_order_irrelevant():
             assert oracle_posterior(n, k, ["krr", "shuffle"], p) == oracle_posterior(
                 n, k, ["shuffle", "krr"], p
             )
+
+
+def literal_oracle_posterior(n, k, pipeline, p=None):
+    """sum_y max_w sum_{x: x0 = w} C[x, y] / k**n, column by column and
+    entry by entry: the reference for the block sums of the oracle."""
+    stages = {"krr": lambda: build_krr(n, k, p), "shuffle": lambda: build_shuffle_full(n, k)}
+    channel = None
+    for kind in pipeline:
+        stage = stages[kind]()
+        channel = stage if channel is None else cascade(channel, stage)
+    X = enumerate_datasets(n, k)
+    total = 0
+    for column in zip(*channel.rows):
+        total += max(sum(c for c, x in zip(column, X) if x[0] == w) for w in range(k))
+    return total / k**n
+
+
+# k**n <= 81; each stage order puts the rows in its own order of blocks
+@pytest.mark.parametrize("n,k", [(n, k) for k in (2, 3, 4, 5, 9) for n in range(1, 7)
+                                 if k**n <= 81])
+def test_oracle_block_sums_equal_the_literal_column_loop(n, k):
+    assert oracle_posterior(n, k, ["shuffle"]) == literal_oracle_posterior(n, k, ["shuffle"])
+    for p in (Fraction(1, k), Fraction(3, 5), Fraction(1)):
+        for pipeline in (["krr"], ["krr", "shuffle"], ["shuffle", "krr"]):
+            assert oracle_posterior(n, k, pipeline, p) == (
+                literal_oracle_posterior(n, k, pipeline, p))
 
 
 def test_oracle_rejects_excess_size():
