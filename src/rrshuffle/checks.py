@@ -165,7 +165,6 @@ def suite_oracle(max_n: int = 8) -> list[CheckResult]:
             ),
         }
         if k == 2:
-            forms["binary sum"] = cf.v_post_shuffle_binary_sum(n)
             forms["binary fast form"] = cf.v_post_shuffle_binary_fast(n)
         for label, value in forms.items():
             report.record(
@@ -184,7 +183,6 @@ def suite_oracle(max_n: int = 8) -> list[CheckResult]:
                 ),
             }
             if k == 2:
-                forms["binary sum"] = cf.v_post_ns_binary_sum(n, p)
                 forms["binary fast form"] = cf.v_post_ns_binary_fast(n, p)
             for label, value in forms.items():
                 report.record(
@@ -316,21 +314,12 @@ SUITES = {
     "dpi": suite_dpi,
 }
 
-DEFAULT_MAX_N = {
-    "equivalence": 5,
-    "commute": 5,
-    "oracle": 8,
-    "brown": 30,
-    "fastform": 64,
-    "dpi": 4,
-}
-
 
 def run_suite(name: str, max_n: int = None) -> list[CheckResult]:
+    """Run one suite, up to ``max_n`` or to the suite's own default."""
     if name not in SUITES:
         raise ValueError(
             "unknown suite %r (choose from %s)" % (name, ", ".join(sorted(SUITES)))
         )
-    if max_n is None:
-        max_n = DEFAULT_MAX_N[name]
-    return SUITES[name](max_n)
+    suite = SUITES[name]
+    return suite() if max_n is None else suite(max_n)

@@ -266,8 +266,10 @@ def cmd_abo(args) -> int:
 def cmd_channel(args) -> int:
     kind = args.kind
     p = _resolve_p(args, args.k)
-    needs_p = kind in ("krr", "krr-reduced", "ns", "sn", "ns-reduced")
-    if needs_p and p is None:
+    if kind.startswith("shuffle"):
+        if p is not None:
+            raise UsageError("--p and --epsilon do not apply to kind %r" % kind)
+    elif p is None:
         raise UsageError("--p or --epsilon is required for kind %r" % kind)
     n, k, cap = args.n, args.k, args.cap
     if kind == "krr":

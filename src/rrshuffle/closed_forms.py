@@ -1,16 +1,20 @@
 """Posterior-vulnerability formulas: exact, fast, and asymptotic.
 
 Everything here targets the single-target adversary with a uniform prior
-over datasets.  The binary formulas are closed-form and cheap at any n;
-their single-binomial form, 1/2 + |p - 1/2| times the largest point
-probability of the other records' noisy count, also gives the
-all-but-one adversary's vulnerability.
+over datasets, whose score depends only on the histogram's shape.  So
+the direct sum is one sum over partition shapes for every alphabet size
+(the partition method of :func:`v_post_ns_general`, over
+:func:`~rrshuffle.combinatorics.partition_terms`), the one reference the
+fast forms are checked against.
+The binary fast form is closed and cheap at any n: its single-binomial
+form, 1/2 + |p - 1/2| times the largest point probability of the other
+records' noisy count, also gives the all-but-one adversary's
+vulnerability.
 For general k the shuffle vulnerability is the expected maximum bin load,
 evaluated in polynomial time by one bounded-load recursion over bin
 sizes below n/2 (exact integers for moderate n, Poisson-weighted
-binary64 for large sweeps) and, above, one binomial sum.  The partition
-sum it replaces stays as the reference the check suites compare it with;
-the composition sum stays only as a test of the partition sum.
+binary64 for large sweeps) and, above, one binomial sum.  The
+composition sum stays only as a test of the partition sum.
 """
 
 from __future__ import annotations
@@ -81,40 +85,12 @@ def v_post_shuffle_binary_fast(n: int) -> Fraction:
 
 def v_post_ns_binary_sum(n: int, p: Scalar) -> Scalar:
     """Noise then shuffle, binary, by direct summation:
-    (1/2^n) sum_i C(n,i) (max(i,n-i) p + min(i,n-i) (1-p)) / n."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    require_probability(p, Fraction(1, 2))
-    value = _score_sum(n, 2, p, _binary_terms(n))
-    return value if is_exact(p) else float(value)
+    (1/2^n) sum_i C(n,i) (max(i,n-i) p + min(i,n-i) (1-p)) / n.
 
-
-def _binary_terms(n: int) -> Iterator[tuple[int, int]]:
-    """(C(n, i), max(i, n - i)) for i = 0..n, the binomials by recurrence."""
-    count = 1
-    for i in range(n + 1):
-        yield count, max(i, n - i)
-        count = count * (n - i) // (i + 1)
-
-
-def _score_sum(n: int, k: int, p: Scalar, terms) -> Fraction:
-    """The direct sum of the single-target score over histograms:
-    sum count (top p + (n - top)(1 - p)/(k - 1)) / (n sum count), over
-    the (count, top) pairs of ``terms``, top being the histogram's
-    largest bin.
-
-    The counts are summed as integers in one pass (count times top,
-    count times n - top, and count) and divided once, exactly.  A float
-    p is read as the rational it denotes, so a float result is this
-    value rounded once.
-    """
-    top_mass = rest_mass = total = 0
-    for count, top in terms:
-        top_mass += count * top
-        rest_mass += count * (n - top)
-        total += count
-    q = Fraction(p)
-    return (q * top_mass + (1 - q) * Fraction(rest_mass, k - 1)) / (total * n)
+    The partition sum of :func:`v_post_ns_general` at k = 2, whose
+    terms pair C(n, i) with C(n, n - i); exact for an exact p, the
+    exact value rounded once for a float p."""
+    return v_post_ns_general(n, 2, p, method="partition", exact=is_exact(p))
 
 
 def v_post_ns_binary_fast(n: int, p: Scalar) -> Scalar:
@@ -383,7 +359,9 @@ def v_post_ns_general(
     distance to the exact value (tested within 1e-12 for n <= 300 and
     k <= 10) up to a few roundings.  The partition method evaluates the
     direct sum, whose per-histogram score is
-    (n* p + (n - n*)(1-p)/(k-1)) / n, and is kept for cross-checking.
+    (n* p + (n - n*)(1-p)/(k-1)) / n, over partition shapes: the one
+    direct-sum reference for every k, k = 2 included
+    (:func:`v_post_ns_binary_sum`), and at p = 1 for shuffling alone.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -400,7 +378,18 @@ def v_post_ns_general(
     if method != "partition":
         raise ValueError("method must be 'relation' or 'partition'")
 
-    value = _score_sum(n, k, p, partition_terms(n, k))
+    # sum count (top p + (n - top)(1 - p)/(k - 1)) / (n sum count) over the
+    # (count, top) pairs of partition_terms, top the largest bin: the
+    # counts are summed as integers in one pass and divided once, exactly,
+    # so for a float p, read as the rational it denotes, the float result
+    # is this value rounded once
+    top_mass = total = 0
+    for count, top in partition_terms(n, k):
+        top_mass += count * top
+        total += count
+    q = Fraction(p)
+    rest_mass = n * total - top_mass  # sum count (n - top)
+    value = (q * top_mass + (1 - q) * Fraction(rest_mass, k - 1)) / (total * n)
     return value if use_exact else float(value)
 
 
@@ -453,25 +442,25 @@ class ApproxValue(NamedTuple):
     in_regime: bool
 
 
-def v_approx_shuffle(n: int, k: int, f: float = 1.0) -> ApproxValue:
+def v_approx_shuffle(n: int, k: int) -> ApproxValue:
     """Maximum-load approximation of the shuffle vulnerability:
-    1/k + f sqrt(ln k / (k n)).
+    1/k + sqrt(ln k / (k n)).
 
-    f is the hidden constant of the asymptotic bound; f = 1 is a good
-    empirical fit but carries no guarantee.  Outside the regime
+    The asymptotic bound's hidden constant is taken as 1, a good
+    empirical fit that carries no guarantee.  Outside the regime
     n >= k ln k the value is still returned, flagged.
     """
     if n < 1 or k < 2:
         raise ValueError("need n >= 1 and k >= 2")
-    value = 1.0 / k + f * math.sqrt(math.log(k) / (k * n))
+    value = 1.0 / k + math.sqrt(math.log(k) / (k * n))
     return ApproxValue(value, n >= k * math.log(k))
 
 
-def v_approx_ns(n: int, k: int, p: Scalar, f: float = 1.0) -> ApproxValue:
+def v_approx_ns(n: int, k: int, p: Scalar) -> ApproxValue:
     """Noise-then-shuffle approximation: the shuffle deviation from 1/k
     scaled by (kp - 1)/(k - 1)."""
     require_probability(p, Fraction(1, k))
-    base = v_approx_shuffle(n, k, f)
+    base = v_approx_shuffle(n, k)
     deviation = base.value - 1.0 / k
     return ApproxValue(1.0 / k + deviation * (k * float(p) - 1) / (k - 1), base.in_regime)
 
@@ -488,42 +477,33 @@ def posterior_for(
 ) -> Scalar:
     """Posterior single-target vulnerability of a mechanism spec.
 
-    method 'closed' uses the fast forms (binary single-binomial,
-    bounded-load recursion, linear relation); 'sum' the direct summation
-    forms (the binary sums, or the partition sum for k > 2); 'approx'
-    the asymptotic estimate with f = 1.
+    method 'closed' uses the fast forms (the single-binomial mode form
+    for k = 2, the bounded-load recursion and the linear relation for
+    k > 2); 'sum' the direct sum over partition shapes for every k;
+    'approx' the asymptotic estimate.  Shuffling alone is noise then
+    shuffle at p = 1.
+
+    One scalar-mode rule: ``exact`` if given, else exact for n <= 64
+    and an exact p.  In exact mode a float p is read as the rational it
+    denotes and the result is a ``Fraction``; otherwise it is a float.
     """
-    n, k, p = spec.n, spec.k, spec.p
+    n, k = spec.n, spec.k
     if spec.kind == "krr":
         if method == "approx":
             raise ValueError("no asymptotic form for noise alone; V = p exactly")
-        return v_post_krr(p, k)
-    if spec.kind == "shuffle":
-        if method == "approx":
-            return v_approx_shuffle(n, k).value
-        if k == 2:
-            result = (
-                v_post_shuffle_binary_fast(n)
-                if method == "closed"
-                else v_post_shuffle_binary_sum(n)
-            )
-            return result if _pick_exact(n, exact) else float(result)
-        return v_post_shuffle_general(
-            n, k, method="bounded-load" if method == "closed" else "partition",
-            exact=exact,
-        )
-    # noise then shuffle
+        return v_post_krr(spec.p, k)
+    shuffle = spec.kind == "shuffle"
     if method == "approx":
-        return v_approx_ns(n, k, p).value
+        return (v_approx_shuffle(n, k) if shuffle else v_approx_ns(n, k, spec.p)).value
+    p = 1 if shuffle else spec.p
+    use_exact = _pick_exact(n, exact, p)
+    if use_exact:
+        p = Fraction(p)
+    if method == "sum":
+        return v_post_ns_general(n, k, p, method="partition", exact=use_exact)
     if k == 2:
-        if method == "closed":
-            result = v_post_ns_binary_fast(n, p)
-        else:
-            result = v_post_ns_binary_sum(n, p)
-        if _pick_exact(n, exact, p) or not is_exact(result):
-            return result
-        return float(result)
-    return v_post_ns_general(
-        n, k, p, method="relation" if method == "closed" else "partition",
-        exact=exact,
-    )
+        value = v_post_ns_binary_fast(n, p)
+        return value if use_exact else float(value)
+    if shuffle:
+        return v_post_shuffle_general(n, k, exact=use_exact)
+    return v_post_ns_general(n, k, p, exact=use_exact)

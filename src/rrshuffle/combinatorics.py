@@ -94,7 +94,10 @@ def partition_terms(n: int, k: int) -> Iterator[tuple[int, int]]:
     multiplies it by C(r, part) * slots, and a part equal to the one
     before divides it by the new length of that run.  Each prefix's value
     is multinomial(n; parts, r) * multinomial(k; multiplicities, slots),
-    an integer, so every step is exact.
+    an integer, so every step is exact.  The largest part's C(n, top)
+    comes from the one before, C(n, top - 1) = C(n, top) top / (n - top + 1),
+    and at k = 2 the rest is the second and last part, so the terms are
+    C(n, t) + C(n, n - t) for t > n/2 and C(n, n/2) in the middle.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -124,15 +127,20 @@ def partition_terms(n: int, k: int) -> Iterator[tuple[int, int]]:
     if n == 0:
         yield 1, 0
         return
+    choose = 1  # C(n, top)
     for top in range(n, 0, -1):
         if top * k < n:
             break
-        coef = math.comb(n, top) * k
-        if top == n:
+        coef = choose * k
+        rest = n - top
+        if rest == 0:
             yield coef, top
+        elif k == 2:  # the rest is the last part
+            yield (coef // 2 if rest == top else coef), top
         else:
-            for step in rec(n - top, top, 1, 1, coef):
+            for step in rec(rest, top, 1, 1, coef):
                 yield step, top
+        choose = choose * top // (rest + 1)
 
 
 def _splits(total: int, room: Sequence[int]) -> Iterator[tuple[tuple[int, ...], int]]:

@@ -295,6 +295,16 @@ def test_channel_requires_p(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("kind", ["shuffle", "shuffle-reduced"])
+@pytest.mark.parametrize("flags", [("--p", "0.6"), ("--epsilon", "1")])
+def test_channel_shuffle_rejects_p_and_epsilon(capsys, kind, flags):
+    # the shuffle channel does not depend on p, so a p is a usage error
+    code, out, err = run(capsys, "channel", "--kind", kind, "--n", "2", *flags)
+    assert code == 1
+    assert out == ""
+    assert err == "error: --p and --epsilon do not apply to kind %r\n" % kind
+
+
 def test_channel_cap_exit_code(capsys):
     code, _, err = run(capsys, "channel", "--kind", "krr", "--n", "25", "--k", "2",
                        "--p", "0.9", "--cap", "1024")

@@ -82,7 +82,6 @@ def test_binary_ns_values():
     assert v_post_ns_binary_sum(2, Fraction(9, 10)) == Fraction(7, 10)
     assert v_post_ns_binary_sum(3, Fraction(3, 4)) == Fraction(5, 8)
     assert v_post_ns_binary_fast(5, Fraction(1, 2)) == Fraction(1, 2)
-    assert v_post_ns_binary_sum(4, Fraction(1)) == v_post_shuffle_binary_sum(4)
 
 
 def test_binary_ns_n200_anchors():
@@ -378,6 +377,22 @@ def test_max_load_suite_fails_every_point_when_the_reference_differs(monkeypatch
     assert len(results) > 1 and not any(r.passed for r in results[1:])
 
 
+def test_oracle_suite_checks_the_binary_fast_form_and_one_direct_sum():
+    # at k = 2 the direct sum is the partition sum, checked once per point
+    names = [r.name for r in checks.suite_oracle(3)]
+    assert not any("binary sum" in name for name in names)
+    for n in (1, 2, 3):
+        assert "shuffle partition sum matches oracle (n=%d, k=2)" % n in names
+        assert "shuffle binary fast form matches oracle (n=%d, k=2)" % n in names
+    assert len(names) == 141
+
+
+def test_run_suite_defaults_to_the_suites_own_max_n():
+    assert checks.run_suite("brown") == checks.suite_max_load()
+    assert checks.run_suite("fastform") == checks.suite_fastform()
+    assert checks.run_suite("fastform", 3) == checks.suite_fastform(3)
+
+
 # ---------------------------------------------------------------------------
 # asymptotic approximations
 # ---------------------------------------------------------------------------
@@ -437,7 +452,7 @@ def test_posterior_for_routes_consistently():
 def test_posterior_for_shuffle_sum_is_the_partition_sum(monkeypatch):
     want = {
         (n, k): v_post_shuffle_general(n, k, method="composition", exact=True)
-        for n, k in ((7, 3), (6, 4), (5, 5))
+        for n, k in ((9, 2), (7, 3), (6, 4), (5, 5))
     }
 
     def no_compositions(n, k):
@@ -448,6 +463,27 @@ def test_posterior_for_shuffle_sum_is_the_partition_sum(monkeypatch):
         spec = MechanismSpec("shuffle", n, k)
         assert posterior_for(spec, "sum", exact=True) == value
         assert posterior_for(spec, "sum", exact=False) == float(value)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("method", ["closed", "sum"])
+def test_posterior_for_scalar_mode_is_one_rule_for_every_k(k, method):
+    # exact mode reads a float p as the rational it denotes and returns a
+    # Fraction; float mode returns a float even for a Fraction p
+    n, p = 7, 0.6
+    got = posterior_for(MechanismSpec("krr-shuffle", n, k, p), method, exact=True)
+    assert isinstance(got, Fraction)
+    if k == 2 and method == "closed":
+        assert got == v_post_ns_binary_fast(n, Fraction(p))
+    else:
+        assert got == v_post_ns_general(n, k, Fraction(p), method="partition", exact=True)
+    spec = MechanismSpec("krr-shuffle", n, k, Fraction(3, 5))
+    floating = posterior_for(spec, method, exact=False)
+    assert isinstance(floating, float)
+    assert floating == pytest.approx(float(posterior_for(spec, method, exact=True)), abs=1e-15)
+    shuffled = posterior_for(MechanismSpec("shuffle", n, k), method, exact=False)
+    assert isinstance(shuffled, float)
+    assert shuffled == float(posterior_for(MechanismSpec("shuffle", n, k), method, exact=True))
 
 
 def test_posterior_for_auto_mode_switches_to_float():

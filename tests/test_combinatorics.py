@@ -202,6 +202,17 @@ def test_partition_terms_are_the_two_multinomials_in_partition_order():
             assert list(partition_terms(n, k)) == expected, (n, k)
 
 
+def test_partition_terms_at_k_2_are_the_paired_binomials():
+    # the binary direct sum: C(n, t) + C(n, n - t) for t > n/2, C(n, n/2)
+    # in the middle, largest part first
+    for n in list(range(1, 301)) + [1000, 3000]:
+        expected = [
+            (math.comb(n, t) + (math.comb(n, n - t) if 2 * t > n else 0), t)
+            for t in range(n, (n - 1) // 2, -1)
+        ]
+        assert list(partition_terms(n, 2)) == expected, n
+
+
 def test_partition_terms_count_every_map_once():
     for n in range(0, 25):
         for k in range(1, 12):
