@@ -194,8 +194,8 @@ def test_bounded_load_equals_partition_sum_at_larger_sizes():
 # (70, 10**6): C(k, u) exceeds the float range for u >= 68.
 @pytest.mark.parametrize(
     "n,k",
-    [(12, 3), (20, 4), (40, 5), (1000, 3), (300, 3), (125, 4), (120, 5), (80, 6), (100, 10),
-     (40, 40), (70, 10**6)],
+    [(12, 3), (20, 4), (40, 5), (1000, 3), (1501, 3), (300, 3), (125, 4), (120, 5), (80, 6),
+     (100, 10), (40, 40), (70, 10**6)],
 )
 def test_bounded_load_float_close_to_exact(n, k):
     exact = v_post_shuffle_general(n, k, exact=True)
@@ -247,14 +247,17 @@ def _literal_tails(n, k):
 
 def test_max_load_tails_are_the_literal_counts():
     # every m on both sides of floor(n/2), where the recursion hands over
-    # to the one-overloaded-bin sum; (4, 10) has k > n
-    cases = [(n, k) for k in range(2, 6) for n in range(1, 13)] + [(4, 10)]
+    # to the one-overloaded-bin sum, for odd and even n, with no recursion
+    # at all (n <= 3) and with rows of min(k, n) bins, where only entry n
+    # is written; the last three have k > n
+    cases = [(n, k) for k in range(2, 8) for n in range(1, 15)] + [(4, 10), (5, 7), (6, 9)]
     for n, k in cases:
         assert closed_forms._max_load_tails(n, k, True) == _literal_tails(n, k)
 
 
 def test_upper_float_tails_are_the_exact_tails_rounded_once():
-    for n, k in [(n, k) for k in range(2, 6) for n in range(1, 13)] + [(125, 4), (301, 3)]:
+    larger = [(125, 4), (301, 3), (1000, 3), (400, 4)]
+    for n, k in [(n, k) for k in range(2, 6) for n in range(1, 13)] + larger:
         exact = closed_forms._max_load_tails(n, k, True)
         floating = closed_forms._max_load_tails(n, k, False)
         assert len(floating) == n
@@ -447,6 +450,13 @@ def test_posterior_for_routes_consistently():
     assert posterior_for(MechanismSpec("krr", 9, 2, Fraction(9, 10))) == Fraction(9, 10)
     with pytest.raises(ValueError):
         posterior_for(MechanismSpec("krr", 2, 2, Fraction(3, 4)), "approx")
+
+
+@pytest.mark.parametrize("kind", ["krr", "shuffle", "krr-shuffle"])
+def test_posterior_for_rejects_an_unknown_method(kind):
+    spec = MechanismSpec(kind, 5, 3, None if kind == "shuffle" else Fraction(3, 4))
+    with pytest.raises(ValueError, match="method must be 'closed', 'sum' or 'approx'"):
+        posterior_for(spec, "bogus")
 
 
 def test_posterior_for_shuffle_sum_is_the_partition_sum(monkeypatch):
