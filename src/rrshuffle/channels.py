@@ -17,12 +17,15 @@ the sum not finite, and the row invalid); and a result is divided once
 by its denominator, or read as binary64.
 ``Channel(row_labels, col_labels, rows)`` accepts either kind of rows:
 rows whose entries are all rationals (``Fraction`` or ``int``) make an
-exact channel.  ``rows`` reads probabilities in both cases; for an exact
-channel it builds the ``Fraction`` matrix on first use, so hot paths
-read ``num`` and ``den`` instead: the reduced noise channel is built as
-integer products of per-record reports, and two exact channels are
-compared for leakage equivalence on their primitive integer columns,
-with no ``Fraction`` per entry.
+exact channel; any other entry makes a float channel, which stores
+binary64 only: every entry is a ``float``, and -0.0 is stored as 0.0.
+The float paths below can therefore assume one type.  ``rows`` reads
+probabilities in both cases; for an exact channel it builds the
+``Fraction`` matrix on first use, so hot paths read ``num`` and ``den``
+instead: the reduced noise channel is built as integer products of
+per-record reports, and two exact channels are compared for leakage
+equivalence on their primitive integer columns, with no ``Fraction``
+per entry.
 
 Channels are immutable after construction; builders, cascade and the
 comparison operations are pure, so values can be shared freely across
@@ -35,10 +38,10 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import floordiv, ge, sub, truediv
+from operator import countOf, floordiv, ge, sub, truediv
 
 from .combinatorics import match_weights, record_weights
-from .scalars import FLOAT_TOL, Scalar, all_exact, close, is_exact, require_probability
+from .scalars import FLOAT_TOL, Scalar, all_exact, close, integer_rows, require_probability
 
 #: Default bound on k**n for full (dataset-indexed) channel construction.
 DEFAULT_CAP = 2**20
@@ -142,46 +145,48 @@ class Channel:
 
     __slots__ = ("row_labels", "col_labels", "num", "den", "_rows")
 
-    def __init__(self, row_labels, col_labels, rows):
-        rows = tuple(tuple(row) for row in rows)
-        if all(all_exact(row) for row in rows):
-            den = math.lcm(*{e.denominator for row in rows for e in row})
-            rows = tuple(
-                tuple(e.numerator * (den // e.denominator) for e in row) for row in rows
-            )
-        else:
-            den = None
-        self._fill(row_labels, col_labels, rows, den)
-        self.__post_init__()
+    def __new__(cls, row_labels, col_labels, rows):
+        """Channel from rows of probabilities: exact when every entry is
+        a ``Fraction`` or an ``int``, binary64 otherwise.
+
+        Exact rows become integers over their least common denominator.
+        A float row that holds a non-float or a zero is converted entry
+        by entry (so -0.0 is stored as 0.0); a row of nonzero floats,
+        found in two C-level passes, is stored as the same object.
+        """
+        rows = [tuple(row) for row in rows]
+        if all(map(all_exact, rows)):
+            return cls._stored(row_labels, col_labels, *integer_rows(rows))
+        num = [row if countOf(map(type, row), float) == len(row) and all(row)
+               else tuple(map(_binary64_entry, row))
+               for row in rows]
+        return cls._stored(row_labels, col_labels, num, None)
 
     @classmethod
-    def _exact(cls, row_labels, col_labels, num, den: int) -> "Channel":
-        """Exact channel from integer rows over ``den``, reduced here.
-
-        Rows that are one object stay one object.
-        """
-        g = den
-        for row in num:
-            g = math.gcd(g, *row)
-            if g == 1:
-                break
-        if g > 1:
-            den //= g
-            reduced: dict[int, tuple[int, ...]] = {}
+    def _stored(cls, row_labels, col_labels, num, den) -> "Channel":
+        """Channel from its stored form: integer rows over ``den``,
+        reduced here, or binary64 rows with ``den`` None, taken as they
+        are.  Rows that are one object stay one object."""
+        if den is not None:
+            g = den
             for row in num:
-                if id(row) not in reduced:
-                    reduced[id(row)] = tuple(map(floordiv, row, itertools.repeat(g)))
-            num = [reduced[id(row)] for row in num]
+                g = math.gcd(g, *row)
+                if g == 1:
+                    break
+            if g > 1:
+                den //= g
+                reduced: dict[int, tuple[int, ...]] = {}
+                for row in num:
+                    if id(row) not in reduced:
+                        reduced[id(row)] = tuple(map(floordiv, row, itertools.repeat(g)))
+                num = [reduced[id(row)] for row in num]
         self = object.__new__(cls)
-        self._fill(row_labels, col_labels, tuple(num), den)
-        self.__post_init__()
-        return self
-
-    def _fill(self, row_labels, col_labels, num, den):
         for name, value in (("row_labels", tuple(row_labels)),
                             ("col_labels", tuple(col_labels)),
-                            ("num", num), ("den", den), ("_rows", None)):
+                            ("num", tuple(num)), ("den", den), ("_rows", None)):
             object.__setattr__(self, name, value)
+        self.__post_init__()
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Channel is immutable")
@@ -190,7 +195,7 @@ class Channel:
         raise AttributeError("Channel is immutable")
 
     def __reduce__(self):
-        return (_channel, (self.row_labels, self.col_labels, self.num, self.den))
+        return (Channel._stored, (self.row_labels, self.col_labels, self.num, self.den))
 
     def __post_init__(self):
         if len(set(self.row_labels)) != len(self.row_labels):
@@ -259,44 +264,37 @@ class Channel:
     def to_csv(self, exact: bool = False) -> str:
         """CSV dump: header of column labels, one row per secret.
 
-        Entries are decimal strings, or exact ``num/den`` fractions when
-        ``exact`` is set.  Each distinct stored value is formatted once,
-        and each row is joined from those texts, except where equal
-        values print differently: a float row holding a zero (0.0 and
-        -0.0) is formatted entry by entry, and so is a float channel
-        printed with ``exact`` (``Fraction(1, 2)`` and 0.5).  Labels are
-        alphanumeric/colon so no quoting is needed; lines end with LF.
+        Entries are decimal strings (the repr of their binary64 value),
+        or exact ``num/den`` fractions when an exact channel is printed
+        with ``exact``; a float channel prints its decimals either way.
+        Each distinct stored value is formatted once, and each row is
+        joined from those texts.  Labels are alphanumeric/colon so no
+        quoting is needed; lines end with LF.
         """
-        rows, den = self.num, self.den
+        den = self.den
         if den is None:
+            fmt = repr
+        elif exact:
 
-            def fmt(e: Scalar) -> str:
-                if exact:
-                    return str(Fraction(e)) if is_exact(e) else repr(e)
-                return repr(float(e))
+            def fmt(v: int) -> str:
+                g = math.gcd(v, den)
+                return "%d" % (v // g) if g == den else "%d/%d" % (v // g, den // g)
         else:
 
             def fmt(v: int) -> str:
-                if not exact:
-                    return repr(v / den)
-                g = math.gcd(v, den)
-                return "%d" % (v // g) if g == den else "%d/%d" % (v // g, den // g)
+                return repr(v / den)
 
-        per_entry = den is None and exact
-        memo = {} if per_entry else {v: fmt(v) for v in set().union(*rows)}
+        memo = {v: fmt(v) for v in set().union(*self.num)}
         lines = ["secret," + ",".join(self.col_labels)]
-        for label, row in zip(self.row_labels, rows):
-            each = fmt if per_entry or (den is None and 0 in row) else memo.__getitem__
-            lines.append(label + "," + ",".join(map(each, row)))
+        for label, row in zip(self.row_labels, self.num):
+            lines.append(label + "," + ",".join(map(memo.__getitem__, row)))
         return "\n".join(lines) + "\n"
 
 
-def _channel(row_labels, col_labels, rows, den) -> Channel:
-    """Exact channel from integer rows over ``den``, or float rows when
-    ``den`` is None."""
-    if den is None:
-        return Channel(row_labels, col_labels, rows)
-    return Channel._exact(row_labels, col_labels, rows, den)
+def _binary64_entry(e) -> float:
+    """``e`` rounded once to binary64: adding 0.0 refuses non-numbers and
+    turns -0.0 into 0.0, ``float`` drops float subclasses."""
+    return float(e + 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +329,7 @@ def build_krr(n: int, k: int, p: Scalar, cap: int = DEFAULT_CAP) -> Channel:
     labels = tuple(dataset_label(x, k) for x in enumerate_datasets(n, k))
     weights, den = match_weights(n, k, p)
     rows = [tuple(map(weights.__getitem__, counts)) for counts in _match_counts(n, k)]
-    return _channel(labels, labels, rows, den)
+    return Channel._stored(labels, labels, rows, den)
 
 
 def _classes(n: int, k: int):
@@ -360,7 +358,7 @@ def build_shuffle_full(n: int, k: int, cap: int = DEFAULT_CAP) -> Channel:
         for j in js:
             row[j] = den // len(js)
         shared[h] = tuple(row)
-    return Channel._exact(labels, labels, [shared[h] for h in hists], den)
+    return Channel._stored(labels, labels, [shared[h] for h in hists], den)
 
 
 def build_shuffle_reduced(n: int, k: int, cap: int = DEFAULT_CAP) -> Channel:
@@ -374,7 +372,7 @@ def build_shuffle_reduced(n: int, k: int, cap: int = DEFAULT_CAP) -> Channel:
         row = [0] * len(hist_list)
         row[j] = 1
         shared[h] = tuple(row)
-    return Channel._exact(
+    return Channel._stored(
         tuple(dataset_label(x, k) for x in X),
         tuple(histogram_label(h, k) for h in hist_list),
         [shared[h] for h in hists],
@@ -422,7 +420,7 @@ def build_krr_reduced(n: int, k: int, p: Scalar) -> Channel:
             new.append(tuple(acc))
         hists, rows = level, new
     labels = tuple(histogram_label(h, k) for h in hists)
-    return _channel(labels, labels, rows, None if base is None else base**n)
+    return Channel._stored(labels, labels, rows, None if base is None else base**n)
 
 
 # ---------------------------------------------------------------------------
@@ -452,11 +450,10 @@ def cascade(first: Channel, second: Channel) -> Channel:
         )
     ncols = len(second.col_labels)
     if first.is_exact() and second.is_exact():
-        rows = _matmul(first.num, second.num, ncols, 0)
-        return Channel._exact(first.row_labels, second.col_labels, rows,
-                              first.den * second.den)
-    rows = _matmul(_binary64(first), _binary64(second), ncols, 0.0)
-    return Channel(first.row_labels, second.col_labels, rows)
+        rows, den = _matmul(first.num, second.num, ncols, 0), first.den * second.den
+    else:
+        rows, den = _matmul(_binary64(first), _binary64(second), ncols, 0.0), None
+    return Channel._stored(first.row_labels, second.col_labels, rows, den)
 
 
 def _matmul(A, B, ncols: int, zero) -> list[tuple]:
@@ -508,7 +505,7 @@ def _binary64(channel: Channel):
 def identity_channel(labels: tuple[str, ...]) -> Channel:
     m = len(labels)
     rows = [tuple(1 if i == j else 0 for j in range(m)) for i in range(m)]
-    return Channel._exact(tuple(labels), tuple(labels), rows, 1)
+    return Channel._stored(tuple(labels), tuple(labels), rows, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -717,7 +714,7 @@ def build_last_record_reporter(n: int, epsilon: float, exact: bool = True) -> Ch
     truth, lie, den = _report_weights(epsilon, exact)
     X = enumerate_datasets(n, 2)
     rows = [(truth, lie) if x[-1] == 0 else (lie, truth) for x in X]
-    return _channel(tuple(dataset_label(x, 2) for x in X), ("0", "1"), rows, den)
+    return Channel._stored(tuple(dataset_label(x, 2) for x in X), ("0", "1"), rows, den)
 
 
 def build_parity_masked_reporter(n: int, epsilon: float, exact: bool = True) -> Channel:
@@ -739,4 +736,4 @@ def build_parity_masked_reporter(n: int, epsilon: float, exact: bool = True) -> 
         if sum(x[:-1]) % 2 == 1:
             truthful.reverse()
         rows.append(tuple(truthful))
-    return _channel(tuple(dataset_label(x, 2) for x in X), ("0", "1"), rows, den)
+    return Channel._stored(tuple(dataset_label(x, 2) for x in X), ("0", "1"), rows, den)

@@ -8,7 +8,7 @@ exact rationals.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import closed_forms as cf
@@ -53,49 +53,41 @@ class CheckResult:
     detail: str = ""
 
 
-@dataclass
-class Report:
-    results: list[CheckResult] = field(default_factory=list)
-
-    def record(self, name: str, passed: bool, detail: str = ""):
-        self.results.append(CheckResult(name, passed, detail))
-
-
 def suite_equivalence(max_n: int = 5) -> list[CheckResult]:
     """Leakage equivalences between full and reduced channels."""
-    report = Report()
+    results = []
     for k in (2, 3):
         for n in range(1, max_n + 1):
             s = build_shuffle_full(n, k)
             sr = build_shuffle_reduced(n, k)
-            report.record(
+            results.append(CheckResult(
                 "shuffle equivalent to reduced shuffle (n=%d, k=%d)" % (n, k),
                 equivalent(s, sr),
-            )
+            ))
             for p in P_GRID:
                 if p < Fraction(1, k):
                     continue
                 noise = build_krr(n, k, p)
                 ns = cascade(noise, s)
                 nsr = cascade(noise, sr)
-                report.record(
+                results.append(CheckResult(
                     "noise+shuffle equivalent to noise+reduced shuffle "
                     "(n=%d, k=%d, p=%s)" % (n, k, p),
                     equivalent(ns, nsr),
-                )
+                ))
                 sn = cascade(s, noise)
                 srnr = cascade(sr, build_krr_reduced(n, k, p))
-                report.record(
+                results.append(CheckResult(
                     "shuffle+noise equivalent to reduced shuffle+reduced noise "
                     "(n=%d, k=%d, p=%s)" % (n, k, p),
                     equivalent(sn, srnr),
-                )
-    return report.results
+                ))
+    return results
 
 
 def suite_commute(max_n: int = 5) -> list[CheckResult]:
     """Order-independence of noise and shuffling."""
-    report = Report()
+    results = []
     for k in (2, 3):
         for n in range(1, max_n + 1):
             s = build_shuffle_full(n, k)
@@ -104,27 +96,27 @@ def suite_commute(max_n: int = 5) -> list[CheckResult]:
                 if p < Fraction(1, k):
                     continue
                 noise = build_krr(n, k, p)
-                report.record(
+                results.append(CheckResult(
                     "noise+shuffle equivalent to shuffle+noise (n=%d, k=%d, p=%s)"
                     % (n, k, p),
                     equivalent(cascade(noise, s), cascade(s, noise)),
-                )
+                ))
                 nsr = cascade(noise, sr)
                 srnr = cascade(sr, build_krr_reduced(n, k, p))
-                report.record(
+                results.append(CheckResult(
                     "noise+reduced shuffle equals reduced shuffle+reduced noise "
                     "entrywise (n=%d, k=%d, p=%s)" % (n, k, p),
                     nsr == srnr,
-                )
+                ))
     # The reverse reduced order is ill-typed: histograms cannot feed the
     # dataset-indexed noise channel.
     try:
         cascade(build_shuffle_reduced(2, 2), build_krr(2, 2, Fraction(3, 4)))
-        report.record("reduced shuffle into full noise is rejected", False,
-                      "cascade unexpectedly succeeded")
+        results.append(CheckResult("reduced shuffle into full noise is rejected", False,
+                                   "cascade unexpectedly succeeded"))
     except CascadeTypeError:
-        report.record("reduced shuffle into full noise is rejected", True)
-    return report.results
+        results.append(CheckResult("reduced shuffle into full noise is rejected", True))
+    return results
 
 
 def _oracle_grid(max_n: int):
@@ -155,7 +147,7 @@ def abo_transition_sum(scenario: AboScenario) -> Fraction:
 
 def suite_oracle(max_n: int = 8) -> list[CheckResult]:
     """Exact agreement of every closed form with brute force."""
-    report = Report()
+    results = []
     for n, k in _oracle_grid(max_n):
         truth_s = oracle_posterior(n, k, ["shuffle"])
         forms = {
@@ -167,11 +159,11 @@ def suite_oracle(max_n: int = 8) -> list[CheckResult]:
         if k == 2:
             forms["binary fast form"] = cf.v_post_shuffle_binary_fast(n)
         for label, value in forms.items():
-            report.record(
+            results.append(CheckResult(
                 "shuffle %s matches oracle (n=%d, k=%d)" % (label, n, k),
                 value == truth_s,
                 "%s != %s" % (value, truth_s),
-            )
+            ))
         for p in P_GRID_ORACLE:
             if p < Fraction(1, k):
                 continue
@@ -185,67 +177,67 @@ def suite_oracle(max_n: int = 8) -> list[CheckResult]:
             if k == 2:
                 forms["binary fast form"] = cf.v_post_ns_binary_fast(n, p)
             for label, value in forms.items():
-                report.record(
+                results.append(CheckResult(
                     "noise+shuffle %s matches oracle (n=%d, k=%d, p=%s)"
                     % (label, n, k, p),
                     value == truth_ns,
                     "%s != %s" % (value, truth_ns),
-                )
+                ))
             if k == 2:
                 scenarios = [AboScenario(n, p, a) for a in range(n)]
                 bad = [s.known_a for s in scenarios
                        if abo_posterior(s) != abo_transition_sum(s)]
-                report.record(
+                results.append(CheckResult(
                     "abo closed form matches transition sum for every known_a "
                     "(n=%d, p=%s)" % (n, p),
                     not bad,
                     "known_a in %s" % bad,
-                )
-    return report.results
+                ))
+    return results
 
 
 def suite_max_load(max_n: int = 30) -> list[CheckResult]:
     """The scaled maximum load by its two evaluators, the bounded-load
     recursion (:func:`~rrshuffle.closed_forms.scaled_max_load`) and its
     reference, the partition sum, for k = 2..5 and n = 1..max_n."""
-    report = Report()
+    results = []
     count = sum(1 for _ in partition_terms(6, 3))
-    report.record("partition_terms(6, 3) yields exactly 7 partitions", count == 7,
-                  "got %d" % count)
+    results.append(CheckResult("partition_terms(6, 3) yields exactly 7 partitions",
+                               count == 7, "got %d" % count))
     for k in range(2, 6):
         for n in range(1, max_n + 1):
             recursion = cf.scaled_max_load(n, k)
             partition = cf.scaled_max_load_via_multinomials(n, k)
-            report.record(
+            results.append(CheckResult(
                 "bounded-load and partition-sum max-load integers agree (n=%d, k=%d)"
                 % (n, k),
                 recursion == partition,
                 "%d != %d" % (recursion, partition),
-            )
-    return report.results
+            ))
+    return results
 
 
 def suite_fastform(max_n: int = 64) -> list[CheckResult]:
     """Single-binomial forms equal the direct sums, exactly."""
-    report = Report()
+    results = []
     shuffle_ok = all(
         cf.v_post_shuffle_binary_fast(n) == cf.v_post_shuffle_binary_sum(n)
         for n in range(1, max_n + 1)
     )
-    report.record(
+    results.append(CheckResult(
         "binary shuffle fast form equals sum for n <= %d" % max_n, shuffle_ok
-    )
+    ))
     for p in P_GRID_ORACLE:
         ok = all(
             cf.v_post_ns_binary_fast(n, p) == cf.v_post_ns_binary_sum(n, p)
             for n in range(1, max_n + 1)
         )
-        report.record(
+        results.append(CheckResult(
             "binary noise+shuffle fast form equals sum for n <= %d (p=%s)"
             % (max_n, p),
             ok,
-        )
-    return report.results
+        ))
+    return results
 
 
 def random_prior_gain(rng: random.Random, labels: tuple[str, ...], k: int):
@@ -266,7 +258,7 @@ def random_prior_gain(rng: random.Random, labels: tuple[str, ...], k: int):
 
 def suite_dpi(max_n: int = 4) -> list[CheckResult]:
     """Shuffling the noisy output can never increase vulnerability."""
-    report = Report()
+    results = []
     n = min(max_n, 4)
     rng = random.Random(DPI_SEED)
     for k in (2, 3):
@@ -286,23 +278,23 @@ def suite_dpi(max_n: int = 4) -> list[CheckResult]:
                 if v_ns > v_noise:
                     ok = False
                     worst = "V_NS=%s > V_N=%s at p=%s" % (v_ns, v_noise, p)
-        report.record(
+        results.append(CheckResult(
             "post-shuffle vulnerability never exceeds noise-only "
             "(n=%d, k=%d, %d random prior/gain pairs)" % (n, k, DPI_PAIRS),
             ok,
             worst or "",
-        )
+        ))
         # Spot check with the canonical single-target adversary too.
         uniform = Prior.uniform(labels)
         target = single_target_gain(n, k)
         for p, noise in noise_by_p.items():
             v_noise = posterior_vulnerability(uniform, target, noise)
             v_ns = posterior_vulnerability(uniform, target, ns_by_p[p])
-            report.record(
+            results.append(CheckResult(
                 "single-target post-shuffle bound (n=%d, k=%d, p=%s)" % (n, k, p),
                 v_ns <= v_noise,
-            )
-    return report.results
+            ))
+    return results
 
 
 SUITES = {

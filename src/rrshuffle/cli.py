@@ -50,17 +50,12 @@ def _common_flags(sub: argparse.ArgumentParser, exact: bool = True):
     sub.add_argument("--out", help="write output to this path instead of stdout")
 
 
-def _p_flags(sub: argparse.ArgumentParser, plural: bool = False):
+def _p_flags(sub: argparse.ArgumentParser):
     group = sub.add_mutually_exclusive_group()
-    if plural:
-        group.add_argument("--p", action="append",
-                           help="truthful-report probability (repeatable)")
-        group.add_argument("--epsilon", action="append", type=float,
-                           help="privacy parameter, converted to p (repeatable)")
-    else:
-        group.add_argument("--p", help="truthful-report probability")
-        group.add_argument("--epsilon", type=float,
-                           help="privacy parameter, converted to p")
+    group.add_argument("--p", action="append",
+                       help="truthful-report probability (repeatable when sweeping)")
+    group.add_argument("--epsilon", action="append", type=float,
+                       help="privacy parameter, converted to p (repeatable when sweeping)")
 
 
 @functools.cache
@@ -89,7 +84,7 @@ def build_parser() -> Parser:
     sweep.add_argument("--k", type=int, default=2)
     sweep.add_argument("--method", default="closed",
                        choices=["closed", "sum", "oracle", "approx"])
-    _p_flags(sweep, plural=True)
+    _p_flags(sweep)
     _common_flags(sweep)
     sweep.set_defaults(func=cmd_sweep)
 
@@ -100,7 +95,7 @@ def build_parser() -> Parser:
                        help="count of 'a' among the n-1 known records")
     known.add_argument("--sweep-known", action="store_true",
                        help="CSV sweeping the known composition from 0%% to 100%%")
-    _p_flags(abo, plural=True)
+    _p_flags(abo)
     _common_flags(abo)
     abo.set_defaults(func=cmd_abo)
 
@@ -125,21 +120,16 @@ def build_parser() -> Parser:
     return parser
 
 
-def _resolve_p(args, k: int):
-    """Single-p commands: the scalar or None if neither flag was given."""
-    if args.p is not None:
-        return parse_scalar(args.p, args.exact)
-    if args.epsilon is not None:
-        return epsilon_to_p(args.epsilon, k, args.exact)
-    return None
-
-
-def _resolve_p_list(args, k: int):
+def _resolve_p(args, k: int, single: bool = False) -> list:
+    """The values of --p or --epsilon as probabilities, in order; with
+    ``single``, a second value is a usage error."""
     if args.p:
-        return [parse_scalar(text, args.exact) for text in args.p]
-    if args.epsilon:
-        return [epsilon_to_p(e, k, args.exact) for e in args.epsilon]
-    return []
+        ps = [parse_scalar(text, args.exact) for text in args.p]
+    else:
+        ps = [epsilon_to_p(e, k, args.exact) for e in args.epsilon or ()]
+    if single and len(ps) > 1:
+        raise UsageError("a single p is required unless sweeping")
+    return ps
 
 
 def _fmt(value: Scalar, exact: bool) -> str:
@@ -170,7 +160,8 @@ def _posterior(mech: str, n: int, k: int, p, method: str, exact: bool) -> Scalar
 def cmd_vuln(args) -> int:
     if args.mech == "shuffle" and (args.p is not None or args.epsilon is not None):
         raise UsageError("--p and --epsilon do not apply to mechanism 'shuffle'")
-    p = _resolve_p(args, args.k)
+    ps = _resolve_p(args, args.k, single=True)
+    p = ps[0] if ps else None
     if args.mech != "shuffle" and p is None:
         raise UsageError("--p or --epsilon is required for mechanism %r" % args.mech)
     posterior = _posterior(args.mech, args.n, args.k, p, args.method, args.exact)
@@ -211,7 +202,7 @@ def cmd_sweep(args) -> int:
         raise UsageError("--n-step must be positive")
     if args.n_start > args.n_end:
         raise UsageError("--n-start must not exceed --n-end")
-    p_list = _resolve_p_list(args, args.k)
+    p_list = _resolve_p(args, args.k)
     mechs = sorted(set(args.mech))
     if any(m != "shuffle" for m in mechs) and not p_list:
         raise UsageError("--p or --epsilon is required unless only shuffling is swept")
@@ -234,12 +225,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_abo(args) -> int:
-    p_list = _resolve_p_list(args, 2)
+    p_list = _resolve_p(args, 2, single=args.known_a is not None)
     if not p_list:
         raise UsageError("--p or --epsilon is required")
     if args.known_a is not None:
-        if len(p_list) != 1:
-            raise UsageError("a single p is required unless sweeping")
         scenario = AboScenario(args.n, p_list[0], args.known_a)
         value = abo_posterior(scenario)
         lines = [
@@ -265,7 +254,8 @@ def cmd_abo(args) -> int:
 
 def cmd_channel(args) -> int:
     kind = args.kind
-    p = _resolve_p(args, args.k)
+    ps = _resolve_p(args, args.k, single=True)
+    p = ps[0] if ps else None
     if kind.startswith("shuffle"):
         if p is not None:
             raise UsageError("--p and --epsilon do not apply to kind %r" % kind)

@@ -10,8 +10,9 @@ Float results are compared with an absolute tolerance of ``FLOAT_TOL``.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 Scalar = Union[Fraction, float, int]
 
@@ -26,6 +27,13 @@ def is_exact(value: Scalar) -> bool:
 
 def all_exact(values: Iterable[Scalar]) -> bool:
     return all(is_exact(v) for v in values)
+
+
+def integer_rows(rows: Sequence[Sequence[Scalar]]):
+    """Rows of rationals as integer rows over their least common
+    denominator: (integer rows, den), entry e becoming e * den."""
+    den = math.lcm(*{e.denominator for row in rows for e in row})
+    return [tuple(e.numerator * (den // e.denominator) for e in row) for row in rows], den
 
 
 def close(a: Scalar, b: Scalar, tol: float = FLOAT_TOL) -> bool:

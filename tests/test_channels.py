@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -33,7 +34,7 @@ from rrshuffle.channels import (
     verify_ldp,
 )
 from rrshuffle.combinatorics import krr_histogram_transition
-from rrshuffle.scalars import FLOAT_TOL, is_exact
+from rrshuffle.scalars import FLOAT_TOL
 from rrshuffle.vulnerability import (
     GainFunction,
     Prior,
@@ -470,11 +471,7 @@ def reference_csv(chan, exact=False):
     ``Channel.to_csv``, which formats each distinct value once."""
     den = chan.den
     if den is None:
-
-        def fmt(e):
-            if exact:
-                return str(Fraction(e)) if is_exact(e) else repr(e)
-            return repr(float(e))
+        fmt = repr
     else:
 
         def fmt(v):
@@ -515,21 +512,70 @@ def test_csv_equals_entrywise_reference(n, k):
             assert chan.to_csv() == reference_csv(chan)
 
 
-def test_csv_float_zeros_keep_their_sign():
-    # 0.0 and -0.0 are one dict key; each must still print as stored
+def test_csv_float_negative_zero_prints_as_zero():
+    # -0.0 is stored as 0.0, so both zeros print as 0.0
     chan = Channel(("a", "b"), ("x", "y"), ((-0.0, 1.0), (0.0, 1.0)))
-    assert chan.to_csv() == "secret,x,y\na,-0.0,1.0\nb,0.0,1.0\n"
+    assert chan.to_csv() == "secret,x,y\na,0.0,1.0\nb,0.0,1.0\n"
     chan = Channel(("a", "b"), ("x", "y", "z"), ((0.0, 1.0, -0.0), (-0.0, 0.5, 0.5)))
     assert chan.to_csv() == reference_csv(chan) == (
-        "secret,x,y,z\na,0.0,1.0,-0.0\nb,-0.0,0.5,0.5\n")
+        "secret,x,y,z\na,0.0,1.0,0.0\nb,0.0,0.5,0.5\n")
 
 
-def test_csv_float_channel_with_fractions_prints_each_entry():
-    # Fraction(1, 2) == 0.5, yet with exact=True they print differently
+def test_csv_float_channel_with_fractions_prints_binary64():
+    # a Fraction in a float channel is stored as binary64, so it prints as one
     chan = Channel(("a", "b"), ("x", "y"), ((Fraction(1, 2), 0.5), (Fraction(1, 2), 0.5)))
     assert not chan.is_exact()
-    assert chan.to_csv(exact=True) == "secret,x,y\na,1/2,0.5\nb,1/2,0.5\n"
+    assert chan.to_csv(exact=True) == "secret,x,y\na,0.5,0.5\nb,0.5,0.5\n"
     assert chan.to_csv() == "secret,x,y\na,0.5,0.5\nb,0.5,0.5\n"
+
+
+def all_binary64(values) -> bool:
+    """Every value is a float, none of them -0.0."""
+    return all(type(e) is float and math.copysign(1.0, e) == 1.0 for e in values)
+
+
+def test_float_channel_stores_binary64_only():
+    third = Fraction(1, 3)
+    chan = Channel(("x", "y"), ("a", "b"), ((Fraction(1, 2), 0.5), (Fraction(1, 2), 0.5)))
+    assert chan.num == ((0.5, 0.5), (0.5, 0.5))
+    assert all(all_binary64(row) for row in chan.num)
+    columns = canonicalize(chan).columns
+    assert columns == ((1.0, (0.5, 0.5)),)
+    assert all(all_binary64((outer, *posterior)) for outer, posterior in columns)
+    mixed = Channel(("x", "y"), ("a", "b", "c"), ((third, 2 * third, -0.0), (0, True, 0.0)))
+    assert mixed.num == ((float(third), float(2 * third), 0.0), (0.0, 1.0, 0.0))
+    assert all(all_binary64(row) for row in mixed.num)
+    row = (0.25, 0.75)
+    assert Channel(("x", "y"), ("a", "b"), (row, [0.5, 0.5])).num[0] is row
+    with pytest.raises(TypeError):
+        Channel(("x",), ("a", "b"), (("0.5", 0.5),))
+
+
+@pytest.mark.parametrize("n,k", [(1, 2), (3, 2), (5, 2), (1, 3), (2, 3), (4, 3), (3, 4)])
+def test_builder_float_channels_hold_only_binary64(n, k):
+    # the builders' float rows are stored as they are, unchecked
+    for p in (1 / k, 35 / 64, 0.6, 1.0):
+        if p < 1 / k:
+            continue
+        krr = build_krr(n, k, p)
+        chans = [krr, build_krr_reduced(n, k, p),
+                 cascade(krr, build_shuffle_full(n, k)), cascade(build_shuffle_full(n, k), krr),
+                 cascade(krr, build_shuffle_reduced(n, k)),
+                 cascade(build_shuffle_reduced(n, k), build_krr_reduced(n, k, p))]
+        for chan in chans:
+            assert not chan.is_exact()
+            assert all(all_binary64(row) for row in chan.num)
+    for eps in (0.0, 0.5, 2.0, 700.0):
+        for chan in (build_last_record_reporter(n, eps, exact=False),
+                     build_parity_masked_reporter(n, eps, exact=False)):
+            assert all(all_binary64(row) for row in chan.num)
+
+
+def test_pickle_round_trip_keeps_kind_and_shared_rows():
+    for chan in (build_shuffle_full(3, 2), build_krr(2, 3, 0.6)):
+        copy = pickle.loads(pickle.dumps(chan))
+        assert copy == chan and copy.is_exact() == chan.is_exact()
+        assert len({id(row) for row in copy.num}) == len({id(row) for row in chan.num})
 
 
 # ---------------------------------------------------------------------------

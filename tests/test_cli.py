@@ -393,6 +393,19 @@ def test_exact_epsilon_reads_binary64_e_to_the_epsilon(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["vuln", "--mech", "krr-shuffle", "--n", "5"],
+    ["channel", "--kind", "krr", "--n", "2"],
+    ["abo", "--n", "5", "--known-a", "2"],
+])
+@pytest.mark.parametrize("flags", [("--p", "0.6", "--p", "0.9"),
+                                   ("--epsilon", "1", "--epsilon", "2")])
+def test_single_p_commands_refuse_a_second_value(capsys, argv, flags):
+    code, out, err = run(capsys, *argv, *flags)
+    assert (code, out) == (1, "")
+    assert err == "error: a single p is required unless sweeping\n"
+
+
+@pytest.mark.parametrize("argv", [
     ["vuln", "--mech", "krr-shuffle", "--n", "3", "--p", "0.5"],
     ["sweep", "--mech", "shuffle", "--n-start", "2", "--n-end", "3"],
     ["abo", "--n", "5", "--known-a", "2", "--p", "0.8"],
