@@ -27,6 +27,13 @@ per-record reports, and two exact channels are compared for leakage
 equivalence on their primitive integer columns, with no ``Fraction``
 per entry.
 
+Validation.  Labels and rows are checked once, where they come from
+outside: ``Channel(...)`` and :func:`identity_channel`.  The builders
+check their parameters with the input rules of :mod:`rrshuffle.scalars`
+(n, k and p, or epsilon) and store the rows they build unchecked;
+:func:`cascade` stores the product of two validated channels, and
+unpickling a channel's stored form, unchecked too.
+
 Channels are immutable after construction; builders, cascade and the
 comparison operations are pure, so values can be shared freely across
 threads.
@@ -40,8 +47,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import countOf, floordiv, ge, sub, truediv
 
-from .combinatorics import match_weights, record_weights
-from .scalars import FLOAT_TOL, Scalar, all_exact, close, integer_rows, require_probability
+from .combinatorics import enumerate_histograms, match_weights, record_weights
+from .scalars import (
+    FLOAT_TOL,
+    Scalar,
+    all_exact,
+    close,
+    exp_epsilon,
+    integer_rows,
+    require_mechanism,
+)
 
 #: Default bound on k**n for full (dataset-indexed) channel construction.
 DEFAULT_CAP = 2**20
@@ -88,39 +103,11 @@ def enumerate_datasets(n: int, k: int) -> list[tuple[int, ...]]:
     return list(itertools.product(range(k), repeat=n))
 
 
-def enumerate_histograms(n: int, k: int) -> list[tuple[int, ...]]:
-    """All length-k count vectors summing to n, in lexicographic order."""
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix: list[int], remaining: int):
-        if len(prefix) == k - 1:
-            out.append(tuple(prefix) + (remaining,))
-            return
-        for c in range(remaining + 1):
-            prefix.append(c)
-            rec(prefix, remaining - c)
-            prefix.pop()
-
-    rec([], n)
-    return out
-
-
 def histogram_of(x: tuple[int, ...], k: int) -> tuple[int, ...]:
     counts = [0] * k
     for v in x:
         counts[v] += 1
     return tuple(counts)
-
-
-def _check_nk(n: int, k: int):
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if k < 2:
-        raise ValueError("k must be at least 2")
-
-
-def _check_p(p: Scalar, k: int):
-    require_probability(p, Fraction(1, k))
 
 
 def _check_cap(n: int, k: int, cap: int):
@@ -152,21 +139,30 @@ class Channel:
         Exact rows become integers over their least common denominator.
         A float row that holds a non-float or a zero is converted entry
         by entry (so -0.0 is stored as 0.0); a row of nonzero floats,
-        found in two C-level passes, is stored as the same object.
+        found in two C-level passes, is stored as the same object.  The
+        labels and rows are then validated (:meth:`__post_init__`).
         """
         rows = [tuple(row) for row in rows]
         if all(map(all_exact, rows)):
-            return cls._stored(row_labels, col_labels, *integer_rows(rows))
-        num = [row if countOf(map(type, row), float) == len(row) and all(row)
-               else tuple(map(_binary64_entry, row))
-               for row in rows]
-        return cls._stored(row_labels, col_labels, num, None)
+            self = cls._stored(row_labels, col_labels, *integer_rows(rows))
+        else:
+            num = [row if countOf(map(type, row), float) == len(row) and all(row)
+                   else tuple(map(_binary64_entry, row))
+                   for row in rows]
+            self = cls._stored(row_labels, col_labels, num, None)
+        self.__post_init__()
+        return self
 
     @classmethod
     def _stored(cls, row_labels, col_labels, num, den) -> "Channel":
         """Channel from its stored form: integer rows over ``den``,
         reduced here, or binary64 rows with ``den`` None, taken as they
-        are.  Rows that are one object stay one object."""
+        are.  Rows that are one object stay one object.
+
+        Nothing is validated: the callers pass rows built from checked
+        parameters (the builders), labels and rows taken from validated
+        channels (:func:`cascade`), or a pickled channel.
+        """
         if den is not None:
             g = den
             for row in num:
@@ -185,7 +181,6 @@ class Channel:
                             ("col_labels", tuple(col_labels)),
                             ("num", tuple(num)), ("den", den), ("_rows", None)):
             object.__setattr__(self, name, value)
-        self.__post_init__()
         return self
 
     def __setattr__(self, name, value):
@@ -198,6 +193,8 @@ class Channel:
         return (Channel._stored, (self.row_labels, self.col_labels, self.num, self.den))
 
     def __post_init__(self):
+        """Reject duplicate labels and rows that are not probability rows;
+        run only where labels or rows come from outside."""
         if len(set(self.row_labels)) != len(self.row_labels):
             raise ValueError("duplicate row labels")
         if len(set(self.col_labels)) != len(self.col_labels):
@@ -323,8 +320,7 @@ def build_krr(n: int, k: int, p: Scalar, cap: int = DEFAULT_CAP) -> Channel:
     switches to any specific other value with probability (1-p)/(k-1),
     so the entry at (x, y) is p**matches * ((1-p)/(k-1))**mismatches.
     """
-    _check_nk(n, k)
-    _check_p(p, k)
+    require_mechanism(n, k, p)
     _check_cap(n, k, cap)
     labels = tuple(dataset_label(x, k) for x in enumerate_datasets(n, k))
     weights, den = match_weights(n, k, p)
@@ -344,7 +340,7 @@ def build_shuffle_full(n: int, k: int, cap: int = DEFAULT_CAP) -> Channel:
     Every output dataset with the input's histogram is equally likely:
     entry (x, y) is 1/#h(x) when h(y) = h(x) and 0 otherwise.
     """
-    _check_nk(n, k)
+    require_mechanism(n, k)
     _check_cap(n, k, cap)
     X, hists = _classes(n, k)
     labels = tuple(dataset_label(x, k) for x in X)
@@ -363,7 +359,7 @@ def build_shuffle_full(n: int, k: int, cap: int = DEFAULT_CAP) -> Channel:
 
 def build_shuffle_reduced(n: int, k: int, cap: int = DEFAULT_CAP) -> Channel:
     """Deterministic dataset-to-histogram channel (k**n x #histograms)."""
-    _check_nk(n, k)
+    require_mechanism(n, k)
     _check_cap(n, k, cap)
     X, hists = _classes(n, k)
     hist_list = enumerate_histograms(n, k)
@@ -395,8 +391,7 @@ def build_krr_reduced(n: int, k: int, p: Scalar) -> Channel:
     :func:`~rrshuffle.combinatorics.krr_histogram_transition`, is the
     reference for every entry.
     """
-    _check_nk(n, k)
-    _check_p(p, k)
+    require_mechanism(n, k, p)
     keep, move, base = record_weights(k, p)
     zero = 0.0 if base is None else 0
     hists, rows = [(0,) * k], [(1,)]
@@ -503,9 +498,9 @@ def _binary64(channel: Channel):
 
 
 def identity_channel(labels: tuple[str, ...]) -> Channel:
+    """The noiseless channel over ``labels``, validated by ``Channel(...)``."""
     m = len(labels)
-    rows = [tuple(1 if i == j else 0 for j in range(m)) for i in range(m)]
-    return Channel._stored(tuple(labels), tuple(labels), rows, 1)
+    return Channel(labels, labels, [[int(i == j) for j in range(m)] for i in range(m)])
 
 
 # ---------------------------------------------------------------------------
@@ -696,7 +691,7 @@ def _report_weights(epsilon: float, exact: bool):
     integers over e^eps's numerator plus denominator when ``exact``
     (e^eps read as the rational its binary64 value denotes), else the
     two float probabilities and None."""
-    e = math.exp(epsilon)
+    e = exp_epsilon(epsilon)
     if exact:
         a, b = e.as_integer_ratio()
         return a, b, a + b
@@ -710,7 +705,7 @@ def build_last_record_reporter(n: int, epsilon: float, exact: bool = True) -> Ch
 
     A 2**n x 2 channel over outputs {0, 1}.
     """
-    _check_nk(n, 2)
+    require_mechanism(n, 2)
     truth, lie, den = _report_weights(epsilon, exact)
     X = enumerate_datasets(n, 2)
     rows = [(truth, lie) if x[-1] == 0 else (lie, truth) for x in X]
@@ -727,7 +722,7 @@ def build_parity_masked_reporter(n: int, epsilon: float, exact: bool = True) -> 
     the parity of the empty record set is 0 and the two mechanisms
     coincide.
     """
-    _check_nk(n, 2)
+    require_mechanism(n, 2)
     truth, lie, den = _report_weights(epsilon, exact)
     X = enumerate_datasets(n, 2)
     rows = []

@@ -202,14 +202,14 @@ def cmd_sweep(args) -> int:
         raise UsageError("--n-step must be positive")
     if args.n_start > args.n_end:
         raise UsageError("--n-start must not exceed --n-end")
-    p_list = _resolve_p(args, args.k)
+    p_list = sorted(set(_resolve_p(args, args.k)))  # each distinct p once
     mechs = sorted(set(args.mech))
     if any(m != "shuffle" for m in mechs) and not p_list:
         raise UsageError("--p or --epsilon is required unless only shuffling is swept")
     ns = range(args.n_start, args.n_end + 1, args.n_step)
     rows = []
     for mech in mechs:
-        grid_ps = [None] if mech == "shuffle" else sorted(p_list)
+        grid_ps = [None] if mech == "shuffle" else p_list
         for n in ns:
             for p in grid_ps:
                 v = _posterior(mech, n, args.k, p, args.method, args.exact)
@@ -242,7 +242,7 @@ def cmd_abo(args) -> int:
     if args.n < 2:
         raise UsageError("--sweep-known needs n >= 2")
     lines = ["known_a_fraction,p,abo_posterior_v"]
-    for p in sorted(p_list):
+    for p in sorted(set(p_list)):  # each distinct p once
         for known_a in range(args.n):
             value = abo_posterior(AboScenario(args.n, p, known_a))
             lines.append("%s,%s,%s" % (

@@ -23,10 +23,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Iterator, Literal, NamedTuple, Optional
+from typing import Literal, NamedTuple, Optional
 
-from .combinatorics import multinomial, partition_terms
-from .scalars import Scalar, is_exact, require_probability
+from .combinatorics import enumerate_histograms, multinomial, partition_terms
+from .scalars import Scalar, is_exact, require_mechanism
 
 #: Largest n for which the general-k evaluators default to exact rationals.
 EXACT_N_DEFAULT = 64
@@ -44,14 +44,9 @@ class MechanismSpec:
     def __post_init__(self):
         if self.kind not in ("krr", "shuffle", "krr-shuffle"):
             raise ValueError("unknown mechanism kind %r" % (self.kind,))
-        if self.n < 1:
-            raise ValueError("n must be at least 1")
-        if self.k < 2:
-            raise ValueError("k must be at least 2")
-        if self.kind != "shuffle":
-            if self.p is None:
-                raise ValueError("mechanism %r needs p" % (self.kind,))
-            require_probability(self.p, Fraction(1, self.k))
+        if self.kind != "shuffle" and self.p is None:
+            raise ValueError("mechanism %r needs p" % (self.kind,))
+        require_mechanism(self.n, self.k, None if self.kind == "shuffle" else self.p)
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +57,7 @@ class MechanismSpec:
 def v_post_krr(p: Scalar, k: int) -> Scalar:
     """Noise alone leaves the target's report as the best guess: V = p,
     independent of the dataset size."""
-    require_probability(p, Fraction(1, k))
+    require_mechanism(k=k, p=p)
     return p
 
 
@@ -100,9 +95,7 @@ def v_post_ns_binary_fast(n: int, p: Scalar) -> Scalar:
     The other n - 1 records are uniform, so each reports 'a' with
     probability 1/2 whatever p is, and their 'a'-count is Bin(n - 1, 1/2).
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    require_probability(p, Fraction(1, 2))
+    require_mechanism(n, 2, p)
     return binary_vulnerability(p, count_mode_probability(n - 1, 0, Fraction(1, 2)))
 
 
@@ -163,15 +156,6 @@ def _count_mass(a: int, b: int, s: int, t: int, z: int) -> int:
 # ---------------------------------------------------------------------------
 # General alphabet
 # ---------------------------------------------------------------------------
-
-
-def _compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    if k == 1:
-        yield (n,)
-        return
-    for first in range(n + 1):
-        for rest in _compositions(n - first, k - 1):
-            yield (first,) + rest
 
 
 def _pick_exact(n: int, exact: Optional[bool], p: Scalar = Fraction(1)) -> bool:
@@ -338,10 +322,7 @@ def v_post_shuffle_general(
     method evaluates the ungrouped sum and is kept to check it.  Exact by
     default up to n = 64, binary64 above.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if k < 2:
-        raise ValueError("k must be at least 2")
+    require_mechanism(n, k)
     use_exact = _pick_exact(n, exact)
 
     if method == "bounded-load":
@@ -351,7 +332,7 @@ def v_post_shuffle_general(
         return math.fsum(tails) / n
     if method == "composition":
         total = sum(
-            multinomial(n, comp) * max(comp) for comp in _compositions(n, k)
+            multinomial(n, comp) * max(comp) for comp in enumerate_histograms(n, k)
         )
     elif method == "partition":
         total = scaled_max_load_via_multinomials(n, k)
@@ -382,9 +363,7 @@ def v_post_ns_general(
     direct-sum reference for every k, k = 2 included
     (:func:`v_post_ns_binary_sum`), and at p = 1 for shuffling alone.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    require_probability(p, Fraction(1, k))
+    require_mechanism(n, k, p)
     use_exact = _pick_exact(n, exact, p)
 
     if method == "relation":
@@ -426,8 +405,7 @@ def scaled_max_load(n: int, k: int) -> int:
     :func:`v_post_shuffle_general` divides by k^n n, from the bounded-load
     recursion and one-bin tails of :func:`_max_load_tails`.  k = 1 gives n.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    require_mechanism(n)
     if k < 1:
         raise ValueError("k must be at least 1")
     return sum(_max_load_tails(n, k, True))
@@ -442,8 +420,7 @@ def scaled_max_load_via_multinomials(n: int, k: int) -> int:
     :func:`~rrshuffle.combinatorics.partition_terms`, one recursion that
     builds each as it goes, so no partition object or multinomial call is
     made per term."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    require_mechanism(n)
     if k < 1:
         raise ValueError("k must be at least 1")
     return sum(coef * top for coef, top in partition_terms(n, k))
@@ -469,8 +446,7 @@ def v_approx_shuffle(n: int, k: int) -> ApproxValue:
     empirical fit that carries no guarantee.  Outside the regime
     n >= k ln k the value is still returned, flagged.
     """
-    if n < 1 or k < 2:
-        raise ValueError("need n >= 1 and k >= 2")
+    require_mechanism(n, k)
     value = 1.0 / k + math.sqrt(math.log(k) / (k * n))
     return ApproxValue(value, n >= k * math.log(k))
 
@@ -478,7 +454,7 @@ def v_approx_shuffle(n: int, k: int) -> ApproxValue:
 def v_approx_ns(n: int, k: int, p: Scalar) -> ApproxValue:
     """Noise-then-shuffle approximation: the shuffle deviation from 1/k
     scaled by (kp - 1)/(k - 1)."""
-    require_probability(p, Fraction(1, k))
+    require_mechanism(n, k, p)
     base = v_approx_shuffle(n, k)
     deviation = base.value - 1.0 / k
     return ApproxValue(1.0 / k + deviation * (k * float(p) - 1) / (k - 1), base.in_regime)

@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .scalars import Scalar, is_exact, require_probability
+from .scalars import Scalar, exp_epsilon, is_exact, require_mechanism
 
 
 def binomial(n: int, i: int) -> int:
@@ -50,6 +50,24 @@ def log_multinomial(n: int, parts: Sequence[int]) -> float:
     if sum(parts) != n:
         raise ValueError("parts must sum to n")
     return math.lgamma(n + 1) - sum(math.lgamma(p + 1) for p in parts)
+
+
+def enumerate_histograms(n: int, k: int) -> list[tuple[int, ...]]:
+    """All length-k count vectors summing to n (the compositions of n into
+    k non-negative parts), in lexicographic order."""
+    out: list[tuple[int, ...]] = []
+
+    def rec(prefix: list[int], remaining: int):
+        if len(prefix) == k - 1:
+            out.append(tuple(prefix) + (remaining,))
+            return
+        for c in range(remaining + 1):
+            prefix.append(c)
+            rec(prefix, remaining - c)
+            prefix.pop()
+
+    rec([], n)
+    return out
 
 
 def partitions(n: int, max_parts: int) -> Iterator[tuple[int, ...]]:
@@ -231,8 +249,9 @@ def krr_histogram_transition(z_in: Sequence[int], z_out: Sequence[int], p: Scala
     ``Fraction`` when p is rational, binary64 otherwise.
     """
     k = len(z_in)
-    if k < 2 or len(z_out) != k:
-        raise ValueError("histograms must have the same length k >= 2")
+    require_mechanism(k=k, p=p)
+    if len(z_out) != k:
+        raise ValueError("histograms must have the same length")
     if min(z_in) < 0 or min(z_out) < 0:
         raise ValueError("histogram counts must be non-negative")
     n = sum(z_in)
@@ -241,7 +260,6 @@ def krr_histogram_transition(z_in: Sequence[int], z_out: Sequence[int], p: Scala
             "count-sum mismatch: input histogram sums to %d, output to %d"
             % (n, sum(z_out))
         )
-    require_probability(p, Fraction(1, k))
     weights, den = match_weights(n, k, p)
     total = transition_sum(z_in, z_out, weights)
     return total if den is None else Fraction(total, den)
@@ -253,29 +271,17 @@ def epsilon_to_p(epsilon: float, k: int, exact: bool = False) -> Scalar:
 
     The rational E / (k - 1 + E), E being the value binary64 e^eps
     denotes, so eps = 0 gives exactly 1/k; with ``exact`` unset it is
-    rounded once to binary64.  Raises ``ValueError`` for a non-finite
-    epsilon and when e^eps overflows binary64."""
-    if not math.isfinite(epsilon):
-        raise ValueError("epsilon must be finite (got %r)" % (epsilon,))
-    if epsilon < 0:
-        raise ValueError("epsilon must be non-negative")
-    if k < 2:
-        raise ValueError("k must be at least 2")
-    try:
-        e = math.exp(epsilon)
-    except OverflowError:
-        raise ValueError(
-            "epsilon %r is too large: e^epsilon overflows" % (epsilon,)
-        ) from None
-    e = Fraction(e)
+    rounded once to binary64.  Raises ``ValueError`` for an epsilon
+    :func:`~rrshuffle.scalars.exp_epsilon` refuses and for k < 2."""
+    e = Fraction(exp_epsilon(epsilon))
+    require_mechanism(k=k)
     p = e / (k - 1 + e)
     return p if exact else float(p)
 
 
 def p_to_epsilon(p: Scalar, k: int) -> float:
     """Inverse of :func:`epsilon_to_p`: eps = ln(p (k-1) / (1 - p))."""
-    if k < 2:
-        raise ValueError("k must be at least 2")
+    require_mechanism(k=k)
     if p >= 1:
         raise ValueError("epsilon is infinite at p = 1")
     lower = Fraction(1, k) if is_exact(p) else 1 / k - 1e-9

@@ -6,13 +6,16 @@ Which backend is in use follows the inputs: feed a ``Fraction``
 parameter in and every derived quantity stays exact, with no rounding
 anywhere; feed a ``float`` in and the computation runs in binary64.
 Float results are compared with an absolute tolerance of ``FLOAT_TOL``.
+
+The input rules live here too, one function each: :func:`require_mechanism`
+for n, k and p, and :func:`exp_epsilon` for a privacy parameter epsilon.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 Scalar = Union[Fraction, float, int]
 
@@ -43,19 +46,37 @@ def close(a: Scalar, b: Scalar, tol: float = FLOAT_TOL) -> bool:
     return abs(a - b) <= tol
 
 
-def require_probability(p: Scalar, lower: Scalar, name: str = "p") -> None:
-    """Reject ``p`` outside [lower, 1].
+def require_mechanism(n: Optional[int] = None, k: Optional[int] = None,
+                      p: Optional[Scalar] = None) -> None:
+    """Reject n < 1 records, then k < 2 letters, then p outside [1/k, 1]
+    (p needs k), with a ``ValueError``; an argument left None is not
+    checked.  A float p gets ``FLOAT_TOL`` slack at 1/k only: bounds like
+    1/3 are not binary64, and converted inputs can land one ulp below."""
+    if n is not None and n < 1:
+        raise ValueError("n must be at least 1")
+    if k is not None and k < 2:
+        raise ValueError("k must be at least 2")
+    if p is None:
+        return
+    lower = Fraction(1, k)
+    if not (lower <= p <= 1 if is_exact(p) else float(lower) - FLOAT_TOL <= p <= 1):
+        raise ValueError("p must lie in [%s, 1] (got %r)" % (lower, p))
 
-    Exact operands are checked exactly.  Floats get ``FLOAT_TOL`` slack
-    at the lower bound only, since bounds like 1/3 are not representable
-    in binary64 and converted inputs can land one ulp below.
-    """
-    if is_exact(p):
-        ok = lower <= p <= 1
-    else:
-        ok = float(lower) - FLOAT_TOL <= p <= 1
-    if not ok:
-        raise ValueError("%s must lie in [%s, 1] (got %r)" % (name, lower, p))
+
+def exp_epsilon(epsilon: float) -> float:
+    """e^epsilon in binary64 for a privacy parameter epsilon, which must be
+    finite and non-negative, and small enough that e^epsilon does not
+    overflow binary64 (epsilon below about 709.78).  Raises ``ValueError``."""
+    if not math.isfinite(epsilon):
+        raise ValueError("epsilon must be finite (got %r)" % (epsilon,))
+    if epsilon < 0:
+        raise ValueError("epsilon must be non-negative")
+    try:
+        return math.exp(epsilon)
+    except OverflowError:
+        raise ValueError(
+            "epsilon %r is too large: e^epsilon overflows" % (epsilon,)
+        ) from None
 
 
 def parse_scalar(text: str, exact: bool) -> Scalar:

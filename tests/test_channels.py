@@ -33,7 +33,7 @@ from rrshuffle.channels import (
     verify_dp_adjacent,
     verify_ldp,
 )
-from rrshuffle.combinatorics import krr_histogram_transition
+from rrshuffle.combinatorics import epsilon_to_p, krr_histogram_transition
 from rrshuffle.scalars import FLOAT_TOL
 from rrshuffle.vulnerability import (
     GainFunction,
@@ -494,7 +494,10 @@ def builder_channels(n, k, p):
             cascade(krr, build_shuffle_reduced(n, k))]
 
 
-@pytest.mark.parametrize("n,k", [(1, 2), (3, 2), (5, 2), (1, 3), (2, 3), (4, 3), (2, 4)])
+BUILDER_GRID = [(1, 2), (3, 2), (5, 2), (1, 3), (2, 3), (4, 3), (2, 4)]
+
+
+@pytest.mark.parametrize("n,k", BUILDER_GRID)
 def test_csv_equals_entrywise_reference(n, k):
     for p in (Fraction(1, k), Fraction(35, 64), Fraction(1)):
         for chan in builder_channels(n, k, p):
@@ -510,6 +513,57 @@ def test_csv_equals_entrywise_reference(n, k):
         for chan in (build_last_record_reporter(n + 1, eps, exact=False),
                      build_parity_masked_reporter(n + 1, eps, exact=False)):
             assert chan.to_csv() == reference_csv(chan)
+
+
+@pytest.mark.parametrize("n,k", BUILDER_GRID + [(1, 27)])
+def test_unchecked_channels_pass_validation(n, k):
+    # builders and cascade store their rows unchecked: each result must
+    # pass the validation that Channel(...) runs
+    chans = [identity_channel(build_shuffle_reduced(n, k).col_labels)]
+    if k > 26:  # "v0:v1" dataset and "v03:v10" histogram labels
+        chans += [build_shuffle_reduced(2, k), build_krr_reduced(2, k, Fraction(1, 2))]
+    for p in (Fraction(1, k), Fraction(35, 64), Fraction(1)):
+        for q in (p, float(p)):
+            chans += builder_channels(n, k, q)
+            chans.append(cascade(build_shuffle_reduced(n, k), build_krr_reduced(n, k, q)))
+    for eps in (0.0, 0.5, 700.0):
+        for exact in (True, False):
+            chans += [build_last_record_reporter(n, eps, exact),
+                      build_parity_masked_reporter(n, eps, exact)]
+    for chan in chans:
+        chan.__post_init__()
+
+
+def test_channels_are_validated_only_where_rows_come_from_outside(monkeypatch):
+    checked = []
+    monkeypatch.setattr(Channel, "__post_init__", lambda self: checked.append(self.shape))
+    noise, shuffle = build_krr(2, 3, P), build_shuffle_reduced(2, 3)
+    for chan in (cascade(noise, shuffle), build_shuffle_full(2, 3),
+                 build_krr_reduced(2, 3, 0.6), build_last_record_reporter(2, 1.0),
+                 build_parity_masked_reporter(2, 1.0, exact=False),
+                 pickle.loads(pickle.dumps(noise))):
+        assert chan.shape
+    assert checked == []
+    Channel(("x",), ("y", "z"), ((Fraction(1, 2), Fraction(1, 2)),))
+    Channel(("x",), ("y", "z"), ((0.5, 0.5),))
+    identity_channel(("x", "y", "z"))
+    assert checked == [(1, 2), (1, 2), (3, 3)]
+
+
+def test_identity_channel_rejects_duplicate_labels():
+    with pytest.raises(ValueError, match="duplicate row labels"):
+        identity_channel(("x", "y", "x"))
+
+
+@pytest.mark.parametrize("epsilon", [math.inf, -math.inf, math.nan, 800.0, -3.0])
+def test_reporters_reject_epsilon_as_epsilon_to_p_does(epsilon):
+    with pytest.raises(ValueError) as want:
+        epsilon_to_p(epsilon, 2)
+    for build in (build_last_record_reporter, build_parity_masked_reporter):
+        for exact in (True, False):
+            with pytest.raises(ValueError) as got:
+                build(2, epsilon, exact)
+            assert str(got.value) == str(want.value)
 
 
 def test_csv_float_negative_zero_prints_as_zero():

@@ -175,6 +175,23 @@ def test_sweep_deterministic_output(capsys, tmp_path):
     assert path_a.read_bytes() == path_b.read_bytes()
 
 
+@pytest.mark.parametrize("exact", [[], ["--exact"]])
+@pytest.mark.parametrize("command", [
+    ["sweep", "--mech", "krr", "--mech", "krr-shuffle", "--n-start", "1", "--n-end", "2"],
+    ["abo", "--n", "3", "--sweep-known"],
+])
+def test_sweeps_use_each_distinct_p_once(capsys, command, exact):
+    # a repeated p, or one p written two ways, gives the rows of one p
+    _, single, _ = run(capsys, *command, *exact, "--p", "0.6")
+    for repeated in (["--p", "0.6", "--p", "0.6"], ["--p", "0.6", "--p", "3/5"]):
+        code, out, _ = run(capsys, *command, *exact, *repeated)
+        assert code == 0
+        assert out == single
+    code, out, _ = run(capsys, *command, *exact, "--p", "3/5", "--p", "0.9", "--p", "0.6")
+    assert code == 0
+    assert len(out.splitlines()) == 2 * len(single.splitlines()) - 1
+
+
 def test_sweep_k3_anchor(capsys):
     code, out, _ = run(capsys, "sweep", "--mech", "shuffle",
                        "--n-start", "100", "--n-end", "100", "--k", "3")

@@ -23,8 +23,8 @@ from rrshuffle.closed_forms import (
     v_post_shuffle_binary_sum,
     v_post_shuffle_general,
 )
-from rrshuffle.combinatorics import multinomial
-from rrshuffle.scalars import FLOAT_TOL
+from rrshuffle.combinatorics import enumerate_histograms, multinomial
+from rrshuffle.scalars import FLOAT_TOL, require_mechanism
 
 P_GRID = [Fraction(1, 2), Fraction(3, 5), Fraction(3, 4), Fraction(9, 10), Fraction(1)]
 
@@ -44,6 +44,33 @@ def test_v_post_krr_is_p():
     assert v_post_krr(Fraction(1, 3), 3) == Fraction(1, 3)
     with pytest.raises(ValueError):
         v_post_krr(Fraction(1, 4), 3)
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_alphabets_below_two_letters_raise_value_error(k):
+    # k is checked before p, so 1/k is never formed
+    calls = [
+        lambda: v_post_ns_general(5, k, 0.5),
+        lambda: v_post_ns_general(5, k, 1, method="partition"),
+        lambda: v_post_krr(0.5, k),
+        lambda: v_approx_ns(5, k, 0.5),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="^k must be at least 2$"):
+            call()
+
+
+def test_mechanism_rule_checks_n_then_k_then_p():
+    with pytest.raises(ValueError, match="^n must be at least 1$"):
+        require_mechanism(0, 0, 5)
+    with pytest.raises(ValueError, match="^k must be at least 2$"):
+        require_mechanism(1, 0, 5)
+    with pytest.raises(ValueError, match=r"^p must lie in \[1/3, 1\] \(got 5\)$"):
+        require_mechanism(1, 3, 5)
+    require_mechanism(1, 3, Fraction(1, 3))
+    require_mechanism(1, 3, 1 / 3 - FLOAT_TOL / 2)  # float slack at 1/k only
+    with pytest.raises(ValueError, match="p must lie in"):
+        require_mechanism(1, 3, 1 + 1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +266,7 @@ def _literal_tails(n, k):
     """k^n minus the maps whose largest bin holds at most m records, for
     m = 0..n-1, counted composition by composition."""
     by_max = [0] * (n + 1)
-    for comp in closed_forms._compositions(n, k):
+    for comp in enumerate_histograms(n, k):
         by_max[max(comp)] += multinomial(n, comp)
     bounded = list(itertools.accumulate(by_max))
     return [k**n - bounded[m] for m in range(n)]
@@ -468,7 +495,7 @@ def test_posterior_for_shuffle_sum_is_the_partition_sum(monkeypatch):
     def no_compositions(n, k):
         raise AssertionError("the composition sum is not the sum method")
 
-    monkeypatch.setattr(closed_forms, "_compositions", no_compositions)
+    monkeypatch.setattr(closed_forms, "enumerate_histograms", no_compositions)
     for (n, k), value in want.items():
         spec = MechanismSpec("shuffle", n, k)
         assert posterior_for(spec, "sum", exact=True) == value
