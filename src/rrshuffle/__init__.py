@@ -30,7 +30,7 @@ from .channels import (
 )
 from .closed_forms import (
     ApproxValue,
-    MechanismSpec,
+    MECHANISMS,
     posterior_for,
     scaled_max_load,
     scaled_max_load_via_multinomials,

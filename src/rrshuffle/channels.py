@@ -639,9 +639,9 @@ def verify_ldp(channel: Channel, epsilon: float) -> bool:
     True iff within every column the largest entry is at most e^epsilon
     (within ``FLOAT_TOL``) times the smallest nonzero entry, and no
     column mixes zero with nonzero entries (which would force an
-    infinite ratio).
+    infinite ratio).  An epsilon ``exp_epsilon`` refuses raises ``ValueError``.
     """
-    bound = math.exp(epsilon) + FLOAT_TOL
+    bound = exp_epsilon(epsilon) + FLOAT_TOL
     for col in zip(*channel.rows):
         nonzero = [e for e in col if e > 0]
         if not nonzero:
@@ -659,14 +659,14 @@ def verify_dp_adjacent(channel: Channel, n: int, k: int, epsilon: float) -> bool
     The channel's rows must be the standard dataset enumeration for
     (n, k).  True iff for every pair of datasets differing in exactly
     one record and every output, the probability ratio is at most
-    e^epsilon (within ``FLOAT_TOL``).
+    e^epsilon (within ``FLOAT_TOL``); ``exp_epsilon`` checks epsilon.
     """
+    bound = exp_epsilon(epsilon) + FLOAT_TOL
     X = enumerate_datasets(n, k)
     expected = tuple(dataset_label(x, k) for x in X)
     if channel.row_labels != expected:
         raise ValueError("channel rows are not the dataset enumeration for (n, k)")
     index = {x: i for i, x in enumerate(X)}
-    bound = math.exp(epsilon) + FLOAT_TOL
     for x in X:
         rx = channel.rows[index[x]]
         for pos in range(n):

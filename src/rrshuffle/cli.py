@@ -1,10 +1,10 @@
 """Command-line interface.
 
-Subcommands: ``vuln`` (one posterior-vulnerability record), ``sweep``
-(CSV over a parameter grid), ``abo`` (strong-adversary vulnerability),
-``channel`` (CSV dump of a channel matrix), ``check`` (invariant
-suites).  Exit codes: 0 success, 1 usage error, 2 computation bound
-exceeded, 3 check-suite failure.
+Subcommands: ``vuln`` (one posterior-vulnerability record) and ``sweep``
+(CSV over a parameter grid), each value from one ``posterior_for`` call;
+``abo`` (strong-adversary vulnerability), ``channel`` (CSV dump of a
+channel matrix), ``check`` (invariant suites).  Exit codes: 0 success,
+1 usage error, 2 computation bound exceeded, 3 check-suite failure.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .channels import (
     cascade,
 )
 from .combinatorics import epsilon_to_p, p_to_epsilon
-from .oracle import oracle_posterior
 from .scalars import Scalar, is_exact, parse_scalar
 from .vulnerability import AboScenario, abo_posterior
 
@@ -37,9 +36,6 @@ class UsageError(Exception):
 class Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
-
-
-PIPELINES = {"krr": ["krr"], "shuffle": ["shuffle"], "krr-shuffle": ["krr", "shuffle"]}
 
 
 def _common_flags(sub: argparse.ArgumentParser, exact: bool = True):
@@ -66,24 +62,22 @@ def build_parser() -> Parser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     vuln = subs.add_parser("vuln", help="one vulnerability record")
-    vuln.add_argument("--mech", required=True, choices=sorted(PIPELINES))
+    vuln.add_argument("--mech", required=True, choices=cf.MECHANISMS)
     vuln.add_argument("--n", type=int, required=True)
     vuln.add_argument("--k", type=int, default=2)
-    vuln.add_argument("--method", default="closed",
-                      choices=["closed", "sum", "oracle", "approx"])
+    vuln.add_argument("--method", default="closed", choices=cf.METHODS)
     _p_flags(vuln)
     _common_flags(vuln)
     vuln.set_defaults(func=cmd_vuln)
 
     sweep = subs.add_parser("sweep", help="CSV of posterior vulnerability over a grid")
     sweep.add_argument("--mech", action="append", required=True,
-                       choices=sorted(PIPELINES))
+                       choices=cf.MECHANISMS)
     sweep.add_argument("--n-start", type=int, required=True)
     sweep.add_argument("--n-end", type=int, required=True)
     sweep.add_argument("--n-step", type=int, default=1)
     sweep.add_argument("--k", type=int, default=2)
-    sweep.add_argument("--method", default="closed",
-                       choices=["closed", "sum", "oracle", "approx"])
+    sweep.add_argument("--method", default="closed", choices=cf.METHODS)
     _p_flags(sweep)
     _common_flags(sweep)
     sweep.set_defaults(func=cmd_sweep)
@@ -149,14 +143,6 @@ def _write(text: str, path):
         raise UsageError("cannot write %s: %s" % (path, exc.strerror or exc)) from None
 
 
-def _posterior(mech: str, n: int, k: int, p, method: str, exact: bool) -> Scalar:
-    if method == "oracle":
-        p_exact = None if p is None else Fraction(p)
-        return oracle_posterior(n, k, PIPELINES[mech], p_exact)
-    spec = cf.MechanismSpec(mech, n, k, p)
-    return cf.posterior_for(spec, method=method, exact=exact or None)
-
-
 def cmd_vuln(args) -> int:
     if args.mech == "shuffle" and (args.p is not None or args.epsilon is not None):
         raise UsageError("--p and --epsilon do not apply to mechanism 'shuffle'")
@@ -164,7 +150,8 @@ def cmd_vuln(args) -> int:
     p = ps[0] if ps else None
     if args.mech != "shuffle" and p is None:
         raise UsageError("--p or --epsilon is required for mechanism %r" % args.mech)
-    posterior = _posterior(args.mech, args.n, args.k, p, args.method, args.exact)
+    posterior = cf.posterior_for(args.mech, args.n, args.k, p, args.method,
+                                 args.exact or None)
     prior = Fraction(1, args.k) if args.exact else 1.0 / args.k
     mult = (
         Fraction(posterior) / prior
@@ -212,7 +199,7 @@ def cmd_sweep(args) -> int:
         grid_ps = [None] if mech == "shuffle" else p_list
         for n in ns:
             for p in grid_ps:
-                v = _posterior(mech, n, args.k, p, args.method, args.exact)
+                v = cf.posterior_for(mech, n, args.k, p, args.method, args.exact or None)
                 rows.append((
                     mech, n, args.k,
                     "" if p is None else repr(float(p)),

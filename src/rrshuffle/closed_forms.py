@@ -15,38 +15,23 @@ evaluated in polynomial time by one bounded-load recursion over bin
 sizes below n/2 (exact integers for moderate n, Poisson-weighted
 binary64 for large sweeps) and, above, one binomial sum.  The
 composition sum stays only as a test of the partition sum.
+:func:`posterior_for`, the one route from a mechanism to its number,
+runs every method in :data:`METHODS`, the brute-force oracle included.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from typing import Literal, NamedTuple, Optional
 
 from .combinatorics import enumerate_histograms, multinomial, partition_terms
+from .oracle import oracle_posterior
 from .scalars import Scalar, is_exact, require_mechanism
 
 #: Largest n for which the general-k evaluators default to exact rationals.
 EXACT_N_DEFAULT = 64
-
-
-@dataclass(frozen=True)
-class MechanismSpec:
-    """A mechanism to analyze: per-record noise, shuffling, or both."""
-
-    kind: Literal["krr", "shuffle", "krr-shuffle"]
-    n: int
-    k: int
-    p: Optional[Scalar] = None  # ignored for pure shuffle
-
-    def __post_init__(self):
-        if self.kind not in ("krr", "shuffle", "krr-shuffle"):
-            raise ValueError("unknown mechanism kind %r" % (self.kind,))
-        if self.kind != "shuffle" and self.p is None:
-            raise ValueError("mechanism %r needs p" % (self.kind,))
-        require_mechanism(self.n, self.k, None if self.kind == "shuffle" else self.p)
 
 
 # ---------------------------------------------------------------------------
@@ -461,38 +446,58 @@ def v_approx_ns(n: int, k: int, p: Scalar) -> ApproxValue:
 
 
 # ---------------------------------------------------------------------------
-# Dispatch for the CLI
+# One entry point: a mechanism to its posterior vulnerability
 # ---------------------------------------------------------------------------
+
+#: The mechanisms: per-record noise, shuffling, or noise then shuffling.
+MECHANISMS = ("krr", "krr-shuffle", "shuffle")
+
+#: The evaluators :func:`posterior_for` offers, in the CLI's order.
+METHODS = ("closed", "sum", "oracle", "approx")
 
 
 def posterior_for(
-    spec: MechanismSpec,
-    method: Literal["closed", "sum", "approx"] = "closed",
+    kind: str,
+    n: int,
+    k: int,
+    p: Optional[Scalar] = None,
+    method: Literal["closed", "sum", "oracle", "approx"] = "closed",
     exact: Optional[bool] = None,
 ) -> Scalar:
-    """Posterior single-target vulnerability of a mechanism spec.
+    """Posterior single-target vulnerability of a mechanism in
+    :data:`MECHANISMS` over n records and k letters, p required unless
+    shuffling alone, which is noise then shuffle at p = 1; n, k and p
+    are checked here, once.
 
     method 'closed' uses the fast forms (the single-binomial mode form
     for k = 2, the bounded-load recursion and the linear relation for
     k > 2); 'sum' the direct sum over partition shapes for every k;
-    'approx' the asymptotic estimate.  Shuffling alone is noise then
-    shuffle at p = 1.
+    'oracle' the brute force of :func:`~rrshuffle.oracle.oracle_posterior`
+    over the stages ``kind`` split at '-', a ``Fraction`` in either mode;
+    'approx' the asymptotic estimate.
 
     One scalar-mode rule: ``exact`` if given, else exact for n <= 64
     and an exact p.  In exact mode a float p is read as the rational it
     denotes and the result is a ``Fraction``; otherwise it is a float.
     """
-    if method not in ("closed", "sum", "approx"):
-        raise ValueError("method must be 'closed', 'sum' or 'approx'")
-    n, k = spec.n, spec.k
-    if spec.kind == "krr":
+    if kind not in MECHANISMS:
+        raise ValueError("unknown mechanism kind %r" % (kind,))
+    shuffle = kind == "shuffle"
+    if shuffle:
+        p = 1
+    elif p is None:
+        raise ValueError("mechanism %r needs p" % (kind,))
+    require_mechanism(n, k, p)
+    if method not in METHODS:
+        raise ValueError("method must be 'closed', 'sum', 'oracle' or 'approx'")
+    if method == "oracle":
+        return oracle_posterior(n, k, kind.split("-"), Fraction(p))
+    if kind == "krr":
         if method == "approx":
             raise ValueError("no asymptotic form for noise alone; V = p exactly")
-        return v_post_krr(spec.p, k)
-    shuffle = spec.kind == "shuffle"
+        return v_post_krr(p, k)
     if method == "approx":
-        return (v_approx_shuffle(n, k) if shuffle else v_approx_ns(n, k, spec.p)).value
-    p = 1 if shuffle else spec.p
+        return (v_approx_shuffle(n, k) if shuffle else v_approx_ns(n, k, p)).value
     use_exact = _pick_exact(n, exact, p)
     if use_exact:
         p = Fraction(p)

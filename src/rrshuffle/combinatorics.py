@@ -280,13 +280,16 @@ def epsilon_to_p(epsilon: float, k: int, exact: bool = False) -> Scalar:
 
 
 def p_to_epsilon(p: Scalar, k: int) -> float:
-    """Inverse of :func:`epsilon_to_p`: eps = ln(p (k-1) / (1 - p))."""
+    """Inverse of :func:`epsilon_to_p`: eps = ln(p (k-1) / (1 - p)) for
+    1/k <= p < 1; any other p, NaN included, raises ``ValueError``."""
     require_mechanism(k=k)
-    if p >= 1:
+    if p == 1:
         raise ValueError("epsilon is infinite at p = 1")
     lower = Fraction(1, k) if is_exact(p) else 1 / k - 1e-9
     if p < lower:
         raise ValueError("p below uniform response 1/k has no epsilon")
+    if not p < 1:  # NaN, or above 1: refused with the rule's message
+        require_mechanism(k=k, p=p)
     if is_exact(p):
         ratio = Fraction(p) * (k - 1) / (1 - Fraction(p))
         return math.log(ratio)

@@ -366,6 +366,17 @@ def test_verify_ldp_identity_and_uniform():
     assert verify_ldp(build_krr(1, 2, Fraction(1, 2)), 0.0)
 
 
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf, -0.5, 710.0, 1000.0])
+def test_dp_checks_refuse_an_epsilon_without_a_finite_e_to_the_epsilon(epsilon):
+    # NaN and inf once passed every channel, a negative epsilon was taken,
+    # and epsilon >= ~710 raised OverflowError
+    chan = build_krr(1, 2, Fraction(9, 10))
+    with pytest.raises(ValueError, match="epsilon"):
+        verify_ldp(chan, epsilon)
+    with pytest.raises(ValueError, match="epsilon"):
+        verify_dp_adjacent(chan, 1, 2, epsilon)
+
+
 def test_verify_dp_adjacent_krr():
     eps = 1.0
     p = math.exp(eps) / (1 + math.exp(eps))

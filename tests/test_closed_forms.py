@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from rrshuffle import checks, closed_forms
 from rrshuffle.closed_forms import (
-    MechanismSpec,
+    MECHANISMS,
     count_mode_probability,
     posterior_for,
     scaled_max_load,
@@ -24,6 +24,7 @@ from rrshuffle.closed_forms import (
     v_post_shuffle_general,
 )
 from rrshuffle.combinatorics import enumerate_histograms, multinomial
+from rrshuffle.oracle import oracle_posterior
 from rrshuffle.scalars import FLOAT_TOL, require_mechanism
 
 P_GRID = [Fraction(1, 2), Fraction(3, 5), Fraction(3, 4), Fraction(9, 10), Fraction(1)]
@@ -457,33 +458,48 @@ def test_approx_ns_tracks_scaled_deviation():
 # ---------------------------------------------------------------------------
 
 
-def test_mechanism_spec_validation():
+def test_posterior_for_validates_the_mechanism():
     with pytest.raises(ValueError, match="needs p"):
-        MechanismSpec("krr", 2, 2)
-    with pytest.raises(ValueError):
-        MechanismSpec("krr", 2, 2, Fraction(1, 4))
+        posterior_for("krr", 2, 2)
+    with pytest.raises(ValueError, match="p must lie"):
+        posterior_for("krr", 2, 2, Fraction(1, 4))
     with pytest.raises(ValueError, match="unknown mechanism"):
-        MechanismSpec("mixnet", 2, 2, Fraction(3, 4))
-    MechanismSpec("shuffle", 2, 2)  # p optional here
+        posterior_for("mixnet", 2, 2, Fraction(3, 4))
+    assert posterior_for("shuffle", 2, 2) == Fraction(3, 4)  # p optional here
 
 
 def test_posterior_for_routes_consistently():
-    spec = MechanismSpec("krr-shuffle", 6, 2, Fraction(3, 4))
-    closed = posterior_for(spec, "closed")
-    direct = posterior_for(spec, "sum")
+    closed = posterior_for("krr-shuffle", 6, 2, Fraction(3, 4), "closed")
+    direct = posterior_for("krr-shuffle", 6, 2, Fraction(3, 4), "sum")
     assert closed == direct == v_post_ns_binary_fast(6, Fraction(3, 4))
-    spec3 = MechanismSpec("krr-shuffle", 5, 3, Fraction(3, 4))
-    assert posterior_for(spec3, "closed") == posterior_for(spec3, "sum")
-    assert posterior_for(MechanismSpec("krr", 9, 2, Fraction(9, 10))) == Fraction(9, 10)
+    assert (posterior_for("krr-shuffle", 5, 3, Fraction(3, 4), "closed")
+            == posterior_for("krr-shuffle", 5, 3, Fraction(3, 4), "sum"))
+    assert posterior_for("krr", 9, 2, Fraction(9, 10)) == Fraction(9, 10)
     with pytest.raises(ValueError):
-        posterior_for(MechanismSpec("krr", 2, 2, Fraction(3, 4)), "approx")
+        posterior_for("krr", 2, 2, Fraction(3, 4), "approx")
 
 
 @pytest.mark.parametrize("kind", ["krr", "shuffle", "krr-shuffle"])
 def test_posterior_for_rejects_an_unknown_method(kind):
-    spec = MechanismSpec(kind, 5, 3, None if kind == "shuffle" else Fraction(3, 4))
-    with pytest.raises(ValueError, match="method must be 'closed', 'sum' or 'approx'"):
-        posterior_for(spec, "bogus")
+    p = None if kind == "shuffle" else Fraction(3, 4)
+    with pytest.raises(ValueError,
+                       match="method must be 'closed', 'sum', 'oracle' or 'approx'"):
+        posterior_for(kind, 5, 3, p, "bogus")
+
+
+@pytest.mark.parametrize("kind", MECHANISMS)
+@pytest.mark.parametrize("k, n", [(2, 1), (2, 5), (3, 4)])
+def test_posterior_for_oracle_is_the_oracle(kind, k, n):
+    # the oracle's stages are the kind split at '-'; a float p is read as
+    # the rational it denotes, and the value is a Fraction in either mode
+    for p in (None,) if kind == "shuffle" else (Fraction(3, 5), 0.6):
+        q = None if p is None else Fraction(p)
+        want = oracle_posterior(n, k, kind.split("-"), q)
+        assert want == posterior_for(kind, n, k, q, "sum", exact=True)
+        for exact in (None, True, False):
+            got = posterior_for(kind, n, k, p, "oracle", exact)
+            assert isinstance(got, Fraction)
+            assert got == want
 
 
 def test_posterior_for_shuffle_sum_is_the_partition_sum(monkeypatch):
@@ -497,9 +513,8 @@ def test_posterior_for_shuffle_sum_is_the_partition_sum(monkeypatch):
 
     monkeypatch.setattr(closed_forms, "enumerate_histograms", no_compositions)
     for (n, k), value in want.items():
-        spec = MechanismSpec("shuffle", n, k)
-        assert posterior_for(spec, "sum", exact=True) == value
-        assert posterior_for(spec, "sum", exact=False) == float(value)
+        assert posterior_for("shuffle", n, k, method="sum", exact=True) == value
+        assert posterior_for("shuffle", n, k, method="sum", exact=False) == float(value)
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -508,23 +523,24 @@ def test_posterior_for_scalar_mode_is_one_rule_for_every_k(k, method):
     # exact mode reads a float p as the rational it denotes and returns a
     # Fraction; float mode returns a float even for a Fraction p
     n, p = 7, 0.6
-    got = posterior_for(MechanismSpec("krr-shuffle", n, k, p), method, exact=True)
+    got = posterior_for("krr-shuffle", n, k, p, method, exact=True)
     assert isinstance(got, Fraction)
     if k == 2 and method == "closed":
         assert got == v_post_ns_binary_fast(n, Fraction(p))
     else:
         assert got == v_post_ns_general(n, k, Fraction(p), method="partition", exact=True)
-    spec = MechanismSpec("krr-shuffle", n, k, Fraction(3, 5))
-    floating = posterior_for(spec, method, exact=False)
+    floating = posterior_for("krr-shuffle", n, k, Fraction(3, 5), method, exact=False)
     assert isinstance(floating, float)
-    assert floating == pytest.approx(float(posterior_for(spec, method, exact=True)), abs=1e-15)
-    shuffled = posterior_for(MechanismSpec("shuffle", n, k), method, exact=False)
+    assert floating == pytest.approx(
+        float(posterior_for("krr-shuffle", n, k, Fraction(3, 5), method, exact=True)),
+        abs=1e-15)
+    shuffled = posterior_for("shuffle", n, k, method=method, exact=False)
     assert isinstance(shuffled, float)
-    assert shuffled == float(posterior_for(MechanismSpec("shuffle", n, k), method, exact=True))
+    assert shuffled == float(posterior_for("shuffle", n, k, method=method, exact=True))
 
 
 def test_posterior_for_auto_mode_switches_to_float():
-    big = posterior_for(MechanismSpec("shuffle", 200, 2))
+    big = posterior_for("shuffle", 200, 2)
     assert isinstance(big, float)
-    small = posterior_for(MechanismSpec("shuffle", 20, 2))
+    small = posterior_for("shuffle", 20, 2)
     assert isinstance(small, Fraction)

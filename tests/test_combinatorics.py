@@ -322,6 +322,13 @@ def test_p_to_epsilon_singularities():
         epsilon_to_p(-0.5, 2)
 
 
+@pytest.mark.parametrize("p", [math.nan, 1.5, Fraction(3, 2), math.inf])
+def test_p_to_epsilon_refuses_nan_and_p_above_one(p):
+    # NaN once gave nan, and p > 1 reported an infinite epsilon at p = 1
+    with pytest.raises(ValueError, match="p must lie in"):
+        p_to_epsilon(p, 3)
+
+
 @given(st.floats(min_value=0.0, max_value=10.0), st.integers(min_value=2, max_value=10))
 @settings(max_examples=200)
 def test_epsilon_p_round_trip(epsilon, k):
