@@ -11,10 +11,8 @@ kept reduced (the gcd of ``den`` and every numerator is 1, so ``==`` and
 ``hash`` compare values), or binary64 entries with ``den`` None for a
 float channel.  Both kinds run the same algebra below (cascade,
 canonical form, posterior sums); only two things depend on the kind: a
-row is valid when its entries are non-negative and sum to ``den``
-exactly, or to 1 within ``FLOAT_TOL`` (a NaN or infinite entry makes
-the sum not finite, and the row invalid); and a result is divided once
-by its denominator, or read as binary64.
+row must sum to ``den`` exactly, or to 1 within ``FLOAT_TOL``; and a
+result is divided once by its denominator, or read as binary64.
 ``Channel(row_labels, col_labels, rows)`` accepts either kind of rows:
 rows whose entries are all rationals (``Fraction`` or ``int``) make an
 exact channel; any other entry makes a float channel, which stores
@@ -28,9 +26,11 @@ equivalence on their primitive integer columns, with no ``Fraction``
 per entry.
 
 Validation.  Labels and rows are checked once, where they come from
-outside: ``Channel(...)`` and :func:`identity_channel`.  The builders
-check their parameters with the input rules of :mod:`rrshuffle.scalars`
-(n, k and p, or epsilon) and store the rows they build unchecked;
+outside: ``Channel(...)`` and :func:`identity_channel`, each row by
+:func:`~rrshuffle.scalars.require_distribution`, the probability-vector
+rule priors and canonical forms share.  The builders check their
+parameters with the input rules of :mod:`rrshuffle.scalars` (n, k and
+p, or epsilon) and store the rows they build unchecked;
 :func:`cascade` stores the product of two validated channels, and
 unpickling a channel's stored form, unchecked too.
 
@@ -52,9 +52,9 @@ from .scalars import (
     FLOAT_TOL,
     Scalar,
     all_exact,
-    close,
     exp_epsilon,
     integer_rows,
+    require_distribution,
     require_mechanism,
 )
 
@@ -207,14 +207,7 @@ class Channel:
         for label, row in zip(self.row_labels, self.num):
             if len(row) != ncols:
                 raise ValueError("row %r has wrong width" % label)
-            if row and min(row) < 0:
-                raise ValueError("negative entry in row %r" % label)
-            total = sum(row)
-            if den is None and not math.isfinite(total):
-                raise ValueError("row %r sums to %r, not a finite number" % (label, total))
-            if (total != den) if den is not None else (abs(total - 1) > FLOAT_TOL):
-                raise ValueError("row %r sums to %s, not 1"
-                                 % (label, total if den is None else Fraction(total, den)))
+            require_distribution("row %r" % (label,), row, den)
 
     @property
     def rows(self) -> tuple[tuple[Scalar, ...], ...]:
@@ -522,9 +515,9 @@ class CanonicalChannel:
     columns: tuple[tuple[Scalar, tuple[Scalar, ...]], ...]
 
     def __post_init__(self):
-        total = sum(outer for outer, _ in self.columns)
-        if self.columns and not close(total, 1):
-            raise ValueError("outer probabilities sum to %s, not 1" % total)
+        outer = [outer for outer, _ in self.columns]
+        if outer:  # empty only for a channel with no rows
+            require_distribution("outer distribution", outer, 1 if all_exact(outer) else None)
 
 
 def canonicalize(channel: Channel) -> CanonicalChannel:

@@ -167,7 +167,8 @@ def cmd_vuln(args) -> int:
         p_text = eps_text = "-"
     else:
         p_text = _fmt(p, args.exact)
-        eps_text = "inf" if p == 1 else repr(p_to_epsilon(p, args.k))
+        eps_text = repr(args.epsilon[0]) if args.epsilon else (
+            "inf" if p == 1 else repr(p_to_epsilon(p, args.k)))
     lines = [
         "mechanism: %s" % args.mech,
         "n: %d" % args.n,
@@ -240,6 +241,8 @@ def cmd_abo(args) -> int:
 
 
 def cmd_channel(args) -> int:
+    if args.cap < 1:
+        raise UsageError("--cap must be at least 1")
     kind = args.kind
     ps = _resolve_p(args, args.k, single=True)
     p = ps[0] if ps else None

@@ -492,15 +492,16 @@ def posterior_for(
         raise ValueError("method must be 'closed', 'sum', 'oracle' or 'approx'")
     if method == "oracle":
         return oracle_posterior(n, k, kind.split("-"), Fraction(p))
-    if kind == "krr":
-        if method == "approx":
-            raise ValueError("no asymptotic form for noise alone; V = p exactly")
-        return v_post_krr(p, k)
     if method == "approx":
+        if kind == "krr":
+            raise ValueError("no asymptotic form for noise alone; V = p exactly")
         return (v_approx_shuffle(n, k) if shuffle else v_approx_ns(n, k, p)).value
     use_exact = _pick_exact(n, exact, p)
     if use_exact:
         p = Fraction(p)
+    if kind == "krr":
+        value = v_post_krr(p, k)
+        return value if use_exact else float(value)
     if method == "sum":
         return v_post_ns_general(n, k, p, method="partition", exact=use_exact)
     if k == 2:

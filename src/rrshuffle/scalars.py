@@ -8,7 +8,9 @@ anywhere; feed a ``float`` in and the computation runs in binary64.
 Float results are compared with an absolute tolerance of ``FLOAT_TOL``.
 
 The input rules live here too, one function each: :func:`require_mechanism`
-for n, k and p, and :func:`exp_epsilon` for a privacy parameter epsilon.
+for n, k and p, :func:`require_distribution` for a probability vector (a
+channel row, a prior, the outer probabilities of a canonical form), and
+:func:`exp_epsilon` for a privacy parameter epsilon.
 """
 
 from __future__ import annotations
@@ -39,13 +41,6 @@ def integer_rows(rows: Sequence[Sequence[Scalar]]):
     return [tuple(e.numerator * (den // e.denominator) for e in row) for row in rows], den
 
 
-def close(a: Scalar, b: Scalar, tol: float = FLOAT_TOL) -> bool:
-    """Equality test: exact when both sides are exact, within ``tol`` otherwise."""
-    if is_exact(a) and is_exact(b):
-        return a == b
-    return abs(a - b) <= tol
-
-
 def require_mechanism(n: Optional[int] = None, k: Optional[int] = None,
                       p: Optional[Scalar] = None) -> None:
     """Reject n < 1 records, then k < 2 letters, then p outside [1/k, 1]
@@ -61,6 +56,22 @@ def require_mechanism(n: Optional[int] = None, k: Optional[int] = None,
     lower = Fraction(1, k)
     if not (lower <= p <= 1 if is_exact(p) else float(lower) - FLOAT_TOL <= p <= 1):
         raise ValueError("p must lie in [%s, 1] (got %r)" % (lower, p))
+
+
+def require_distribution(what: str, values: Sequence[Scalar],
+                         den: Optional[int]) -> None:
+    """Reject a negative entry, then a total other than 1, with a
+    ``ValueError`` naming ``what``.  Exact entries (integers over ``den``,
+    or rationals with ``den`` 1) must sum to ``den``; with ``den`` None
+    (binary64) the sum must be finite and within ``FLOAT_TOL`` of 1."""
+    if values and min(values) < 0:
+        raise ValueError("negative entry in %s" % what)
+    total = sum(values)
+    if den is None and not math.isfinite(total):
+        raise ValueError("%s sums to %r, not a finite number" % (what, total))
+    if (total != den) if den is not None else (abs(total - 1) > FLOAT_TOL):
+        raise ValueError("%s sums to %s, not 1"
+                         % (what, total if den is None else Fraction(total, den)))
 
 
 def exp_epsilon(epsilon: float) -> float:

@@ -727,6 +727,32 @@ def test_exact_channel_validation():
         Channel(("x",), ("y", "z"), ((1,),))
 
 
+# One probability-vector rule: a channel row, a prior and the outer
+# probabilities of a canonical form, each built from the same vector.
+VECTOR_OWNERS = {
+    "row 'x'": lambda v: Channel(("x",), ("a", "b"), [v]),
+    "prior": lambda v: Prior(("a", "b"), v),
+    "outer distribution": lambda v: CanonicalChannel(("x",), tuple((o, (1,)) for o in v)),
+}
+
+
+@pytest.mark.parametrize("what", sorted(VECTOR_OWNERS))
+@pytest.mark.parametrize("vector, message", [
+    ((1.5, -0.5), "negative entry in {}"),
+    ((Fraction(3, 2), Fraction(-1, 2)), "negative entry in {}"),
+    ((math.nan, 1.0), "{} sums to nan, not a finite number"),
+    ((0.5, math.inf), "{} sums to inf, not a finite number"),
+    ((0.4, 0.5), "{} sums to 0.9, not 1"),
+    ((Fraction(2, 5), Fraction(1, 2)), "{} sums to 9/10, not 1"),
+])
+def test_channel_rows_priors_and_canonical_forms_share_one_rule(what, vector, message):
+    with pytest.raises(ValueError) as info:
+        VECTOR_OWNERS[what](vector)
+    assert str(info.value) == message.format(what)
+    VECTOR_OWNERS[what]((0.5, 0.5 + FLOAT_TOL / 2))
+    VECTOR_OWNERS[what]((Fraction(2, 5), Fraction(3, 5)))
+
+
 @pytest.mark.parametrize("rows", [
     ((math.nan, 1.0),),
     ((1.0, math.nan),),

@@ -70,6 +70,17 @@ def test_vuln_epsilon_input(capsys):
     assert float(record(out)["posterior_v"]) == pytest.approx(0.75, abs=1e-9)
 
 
+@pytest.mark.parametrize("epsilon", ["0", "0.5", "1"])
+@pytest.mark.parametrize("k", ["2", "3", "5"])
+@pytest.mark.parametrize("exact", [(), ("--exact",)])
+def test_vuln_prints_the_epsilon_it_was_given(capsys, epsilon, k, exact):
+    # epsilon read back from p printed -1.1102230246251565e-16 for 0 at k = 3
+    code, out, err = run(capsys, "vuln", "--mech", "krr-shuffle", "--k", k, "--n", "4",
+                         "--epsilon", epsilon, *exact)
+    assert (code, err) == (0, "")
+    assert record(out)["epsilon"] == repr(float(epsilon))
+
+
 def test_vuln_requires_p(capsys):
     code, _, err = run(capsys, "vuln", "--mech", "krr", "--n", "2")
     assert code == 1
@@ -320,6 +331,16 @@ def test_channel_shuffle_rejects_p_and_epsilon(capsys, kind, flags):
     assert code == 1
     assert out == ""
     assert err == "error: --p and --epsilon do not apply to kind %r\n" % kind
+
+
+@pytest.mark.parametrize("kind, flags", [("krr", ("--p", "0.9")), ("shuffle", ()),
+                                         ("krr-reduced", ("--p", "0.9"))])
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_channel_cap_below_one_is_usage_error(capsys, kind, flags, cap):
+    code, out, err = run(capsys, "channel", "--kind", kind, "--n", "2", *flags,
+                         "--cap", cap)
+    assert (code, out) == (1, "")
+    assert err == "error: --cap must be at least 1\n"
 
 
 def test_channel_cap_exit_code(capsys):

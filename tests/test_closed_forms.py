@@ -539,6 +539,20 @@ def test_posterior_for_scalar_mode_is_one_rule_for_every_k(k, method):
     assert shuffled == float(posterior_for("shuffle", n, k, method=method, exact=True))
 
 
+@pytest.mark.parametrize("method", ["closed", "sum"])
+def test_posterior_for_noise_alone_follows_the_scalar_mode_rule(method):
+    # noise alone once returned p as given, a float p in exact mode included
+    exact = posterior_for("krr", 5, 2, 0.6, method, exact=True)
+    assert isinstance(exact, Fraction) and exact == Fraction(0.6)
+    big = posterior_for("krr", 100, 2, Fraction(3, 5), method)
+    assert isinstance(big, float) and big == 0.6
+    assert type(big) is type(posterior_for("krr-shuffle", 100, 2, Fraction(3, 5), method))
+    small = posterior_for("krr", 5, 3, Fraction(3, 5), method)
+    assert isinstance(small, Fraction) and small == Fraction(3, 5)
+    floating = posterior_for("krr", 5, 3, Fraction(3, 5), method, exact=False)
+    assert isinstance(floating, float) and floating == 0.6
+
+
 def test_posterior_for_auto_mode_switches_to_float():
     big = posterior_for("shuffle", 200, 2)
     assert isinstance(big, float)

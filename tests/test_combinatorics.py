@@ -316,7 +316,7 @@ def test_float_epsilon_to_p_is_the_exact_p_rounded_once(k):
 def test_p_to_epsilon_singularities():
     with pytest.raises(ValueError, match="infinite"):
         p_to_epsilon(1.0, 2)
-    with pytest.raises(ValueError, match="below uniform"):
+    with pytest.raises(ValueError, match="p must lie in"):
         p_to_epsilon(0.2, 3)
     with pytest.raises(ValueError):
         epsilon_to_p(-0.5, 2)
