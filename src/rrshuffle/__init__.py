@@ -32,6 +32,7 @@ from .closed_forms import (
     ApproxValue,
     MECHANISMS,
     posterior_for,
+    posterior_sweep,
     scaled_max_load,
     scaled_max_load_via_multinomials,
     v_approx_ns,

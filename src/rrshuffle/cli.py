@@ -1,7 +1,9 @@
 """Command-line interface.
 
-Subcommands: ``vuln`` (one posterior-vulnerability record) and ``sweep``
-(CSV over a parameter grid), each value from one ``posterior_for`` call;
+Subcommands: ``vuln`` (one posterior-vulnerability record, from
+``posterior_for``) and ``sweep`` (CSV over a parameter grid, from
+``posterior_sweep``, which computes each part that does not depend on p
+once per n);
 ``abo`` (strong-adversary vulnerability), ``channel`` (CSV dump of a
 channel matrix), ``check`` (invariant suites).  Exit codes: 0 success,
 1 usage error, 2 computation bound exceeded, 3 check-suite failure.
@@ -182,6 +184,8 @@ def cmd_vuln(args) -> int:
         "add_leakage: %s" % _fmt(add, args.exact),
     ]
     _write("\n".join(lines) + "\n", args.out)
+    if args.method == "approx":
+        _warn_outside_regime([args.n], args.k)
     return 0
 
 
@@ -190,26 +194,35 @@ def cmd_sweep(args) -> int:
         raise UsageError("--n-step must be positive")
     if args.n_start > args.n_end:
         raise UsageError("--n-start must not exceed --n-end")
-    p_list = sorted(set(_resolve_p(args, args.k)))  # each distinct p once
     mechs = sorted(set(args.mech))
-    if any(m != "shuffle" for m in mechs) and not p_list:
+    if mechs == ["shuffle"] and (args.p is not None or args.epsilon is not None):
+        raise UsageError("--p and --epsilon do not apply to mechanism 'shuffle'")
+    p_list = sorted(set(_resolve_p(args, args.k)))  # each distinct p once
+    if mechs != ["shuffle"] and not p_list:
         raise UsageError("--p or --epsilon is required unless only shuffling is swept")
     ns = range(args.n_start, args.n_end + 1, args.n_step)
-    rows = []
-    for mech in mechs:
-        grid_ps = [None] if mech == "shuffle" else p_list
-        for n in ns:
-            for p in grid_ps:
-                v = cf.posterior_for(mech, n, args.k, p, args.method, args.exact or None)
-                rows.append((
-                    mech, n, args.k,
-                    "" if p is None else repr(float(p)),
-                    args.method, _fmt(v, args.exact),
-                ))
     lines = ["mechanism,n,k,p,method,posterior_v"]
-    lines += ["%s,%d,%d,%s,%s,%s" % row for row in rows]
+    lines += [
+        "%s,%d,%d,%s,%s,%s" % (mech, n, args.k, "" if p is None else repr(float(p)),
+                               args.method, _fmt(v, args.exact))
+        for mech, n, p, v in cf.posterior_sweep(mechs, ns, args.k, p_list, args.method,
+                                                args.exact or None)
+    ]
     _write("\n".join(lines) + "\n", args.out)
+    if args.method == "approx":
+        _warn_outside_regime(ns, args.k)
     return 0
+
+
+def _warn_outside_regime(ns, k: int):
+    """One stderr line naming the n below k ln k, where the asymptotic
+    estimate is outside its regime (and may even exceed 1)."""
+    outside = [n for n in ns if not cf.v_approx_shuffle(n, k).in_regime]
+    if len(outside) > 4:
+        outside[2:-1] = ["..."]
+    if outside:
+        print("warning: --method approx is outside its regime n >= k ln k at n = %s"
+              % ", ".join(map(str, outside)), file=sys.stderr)
 
 
 def cmd_abo(args) -> int:

@@ -16,7 +16,9 @@ sizes below n/2 (exact integers for moderate n, Poisson-weighted
 binary64 for large sweeps) and, above, one binomial sum.  The
 composition sum stays only as a test of the partition sum.
 :func:`posterior_for`, the one route from a mechanism to its number,
-runs every method in :data:`METHODS`, the brute-force oracle included.
+runs every method in :data:`METHODS`, the brute-force oracle included,
+as the one-point case of :func:`posterior_sweep`, which computes what
+does not depend on p once per n of a grid.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import accumulate
-from typing import Literal, NamedTuple, Optional
+from typing import Iterator, Literal, NamedTuple, Optional, Sequence
 
 from .combinatorics import enumerate_histograms, multinomial, partition_terms
 from .oracle import oracle_posterior
@@ -161,7 +163,10 @@ def _max_load_tails(n: int, k: int, exact: bool) -> list[Scalar]:
     bins of size v adds, for each count c of them among the u bins,
     W[u - c][r - cv] * r! / ((r - cv)! v!^c) * C(u, c); rows are updated in
     place with u descending, so each update reads rows still bounded by
-    v - 1.  Then A_m = sum_u C(k, u) W[u][n].
+    v - 1.  Then A_m = sum_u C(k, u) W[u][n].  The exact factors by c,
+    (cv)! / v!^c and entry n's n! / ((n - cv)! v!^c), are carried from
+    v - 1 to v by one falling factorial of length c and one exact division
+    by v^c each, not rebuilt from binomials at every step.
 
     Only the entries that can still reach n records are written: entry n,
     and the r with n - r in [v + 1, (min(k, n) - u)(floor(n/2) - 1)], what
@@ -203,10 +208,16 @@ def _max_load_tails(n: int, k: int, exact: bool) -> list[Scalar]:
             for u in range(u_max + 1)
         ]
     tails = [full]  # m = 0: every map has a non-empty bin
+    choose = [[math.comb(u, c) for c in range(u + 1)] for u in range(u_max + 1)]
+    # by the count c of size-v bins: (cv)! / v!^c and n! / ((n - cv)! v!^c)
+    ways, ways_n = [1] * (u_max + 1), [1] * (u_max + 1)  # at v = 0
     for v in range(1, top + 1):
         c_max = min(u_max, n // v)
         if exact:
-            ways = [1]  # (cv)! / v!^c by the count c of size-v bins, as needed
+            for c in range(1, c_max + 1):  # from v - 1 to v
+                den = v**c
+                ways[c] = ways[c] * math.perm(c * v, c) // den
+                ways_n[c] = ways_n[c] * math.perm(n - c * (v - 1), c) // den
         else:
             weight = math.exp(-lam + v * log_lam - math.lgamma(v + 1))
         for u in range(u_max, 0, -1):
@@ -221,11 +232,9 @@ def _max_load_tails(n: int, k: int, exact: bool) -> list[Scalar]:
                 if a >= b and not at_n:
                     continue
                 if exact:
-                    while len(ways) <= c:
-                        ways.append(ways[-1] * math.comb(len(ways) * v, v))
-                    coef = math.comb(u, c) * ways[c]
+                    coef = choose[u][c] * ways[c]
                 else:
-                    coef = math.comb(u, c) * weight**c
+                    coef = choose[u][c] * weight**c
                     if coef == 0.0:
                         break  # underflow: so are the higher powers
                 src = rows[lo]
@@ -249,7 +258,7 @@ def _max_load_tails(n: int, k: int, exact: bool) -> list[Scalar]:
                         ]
                 if at_n:
                     if exact:
-                        row[n] += src[hi] * math.comb(n, cv) * coef
+                        row[n] += src[hi] * choose[u][c] * ways_n[c]
                     else:
                         row[n] += coef * src[hi]
         bounded = (choose_k[u] * rows[u][n] for u in range(1, u_max + 1))
@@ -352,28 +361,45 @@ def v_post_ns_general(
     use_exact = _pick_exact(n, exact, p)
 
     if method == "relation":
-        v_s = v_post_shuffle_general(n, k, exact=use_exact)
-        if use_exact:
-            p = Fraction(p)
-            return v_s * Fraction(k * p - 1, k - 1) + Fraction(1 - p, k - 1)
-        v_s = float(v_s)
-        return v_s * (k * p - 1) / (k - 1) + (1 - p) / (k - 1)
+        return linear_relation(v_post_shuffle_general(n, k, exact=use_exact), k, p,
+                               use_exact)
     if method != "partition":
         raise ValueError("method must be 'relation' or 'partition'")
+    return partition_score(partition_masses(n, k), n, k, p, use_exact)
 
-    # sum count (top p + (n - top)(1 - p)/(k - 1)) / (n sum count) over the
-    # (count, top) pairs of partition_terms, top the largest bin: the
-    # counts are summed as integers in one pass and divided once, exactly,
-    # so for a float p, read as the rational it denotes, the float result
-    # is this value rounded once
+
+def linear_relation(v_s: Scalar, k: int, p: Scalar, exact: bool) -> Scalar:
+    """Noise then shuffle from the shuffle value V_S:
+    V_S (kp - 1)/(k - 1) + (1 - p)/(k - 1), exact or in binary64."""
+    if exact:
+        p = Fraction(p)
+        return v_s * Fraction(k * p - 1, k - 1) + Fraction(1 - p, k - 1)
+    v_s = float(v_s)
+    return v_s * (k * p - 1) / (k - 1) + (1 - p) / (k - 1)
+
+
+def partition_masses(n: int, k: int) -> tuple[int, int]:
+    """(sum count top, sum count) over the (count, top) pairs of
+    :func:`~rrshuffle.combinatorics.partition_terms`, top the largest
+    bin: the two integers of the partition sum, which do not depend on p."""
     top_mass = total = 0
     for count, top in partition_terms(n, k):
         top_mass += count * top
         total += count
+    return top_mass, total
+
+
+def partition_score(masses: tuple[int, int], n: int, k: int, p: Scalar,
+                    exact: bool) -> Scalar:
+    """The partition sum from its :func:`partition_masses`:
+    sum count (top p + (n - top)(1 - p)/(k - 1)) / (n sum count), divided
+    once, exactly, so for a float p, read as the rational it denotes, the
+    float result is this value rounded once."""
+    top_mass, total = masses
     q = Fraction(p)
     rest_mass = n * total - top_mass  # sum count (n - top)
     value = (q * top_mass + (1 - q) * Fraction(rest_mass, k - 1)) / (total * n)
-    return value if use_exact else float(value)
+    return value if exact else float(value)
 
 
 # ---------------------------------------------------------------------------
@@ -479,34 +505,93 @@ def posterior_for(
     One scalar-mode rule: ``exact`` if given, else exact for n <= 64
     and an exact p.  In exact mode a float p is read as the rational it
     denotes and the result is a ``Fraction``; otherwise it is a float.
+    The one-point case of :func:`posterior_sweep`.
     """
-    if kind not in MECHANISMS:
-        raise ValueError("unknown mechanism kind %r" % (kind,))
-    shuffle = kind == "shuffle"
-    if shuffle:
-        p = 1
-    elif p is None:
-        raise ValueError("mechanism %r needs p" % (kind,))
-    require_mechanism(n, k, p)
+    ps = () if kind == "shuffle" or p is None else (p,)
+    ((*_, value),) = posterior_sweep((kind,), (n,), k, ps, method, exact)
+    return value
+
+
+def posterior_sweep(
+    kinds: Sequence[str],
+    ns: Sequence[int],
+    k: int,
+    ps: Sequence[Scalar] = (),
+    method: Literal["closed", "sum", "oracle", "approx"] = "closed",
+    exact: Optional[bool] = None,
+) -> Iterator[tuple[str, int, Optional[Scalar], Scalar]]:
+    """:func:`posterior_for` over a grid: (kind, n, p, value) for each
+    kind in ``kinds``, each n in ``ns`` and each p in ``ps`` (p None for
+    shuffling alone), in that order.
+
+    Each input is checked once, before any value: the kinds, then the
+    smallest n, then k, then each p in order, then the method (and that
+    it has a form for each kind).  For
+    'closed' and 'sum' a value takes two stages.  The first does not
+    depend on p and runs once per n for the whole grid: the binary mode
+    of :func:`count_mode_probability` for k = 2 and the two integers of
+    :func:`partition_masses`, both exact in either mode, and for k > 2
+    V_S from :func:`v_post_shuffle_general`, once per n and scalar mode
+    (a float grid computes shuffling alone exactly for n <= 64 but noise
+    then shuffle in binary64, and the float V_S is not the exact one
+    rounded).  The second is the arithmetic in p:
+    :func:`binary_vulnerability`, :func:`linear_relation` or
+    :func:`partition_score`.  'oracle' and 'approx' run per point.
+    """
+    for kind in kinds:
+        if kind not in MECHANISMS:
+            raise ValueError("unknown mechanism kind %r" % (kind,))
+        if kind != "shuffle" and not ps:
+            raise ValueError("mechanism %r needs p" % (kind,))
+    require_mechanism(min(ns, default=None), k)
+    for p in ps:
+        require_mechanism(k=k, p=p)
     if method not in METHODS:
         raise ValueError("method must be 'closed', 'sum', 'oracle' or 'approx'")
-    if method == "oracle":
-        return oracle_posterior(n, k, kind.split("-"), Fraction(p))
-    if method == "approx":
-        if kind == "krr":
-            raise ValueError("no asymptotic form for noise alone; V = p exactly")
-        return (v_approx_shuffle(n, k) if shuffle else v_approx_ns(n, k, p)).value
-    use_exact = _pick_exact(n, exact, p)
-    if use_exact:
-        p = Fraction(p)
-    if kind == "krr":
-        value = v_post_krr(p, k)
-        return value if use_exact else float(value)
+    if method == "approx" and "krr" in kinds:
+        raise ValueError("no asymptotic form for noise alone; V = p exactly")
+    parts: dict = {}  # first-stage values by n, and by scalar mode for V_S
+    for kind in kinds:
+        for n in ns:
+            for p in (None,) if kind == "shuffle" else ps:
+                q = 1 if p is None else p
+                if method == "oracle":
+                    value = oracle_posterior(n, k, kind.split("-"), Fraction(q))
+                elif method == "approx":
+                    approx = v_approx_shuffle(n, k) if p is None else v_approx_ns(n, k, p)
+                    value = approx.value
+                else:
+                    use_exact = _pick_exact(n, exact, q)
+                    if use_exact:
+                        q = Fraction(q)
+                    if kind == "krr":
+                        value = q if use_exact else float(q)
+                    else:
+                        key = (n, use_exact) if method == "closed" and k > 2 else n
+                        if key not in parts:
+                            parts[key] = _p_free_part(n, k, method, use_exact)
+                        value = _with_p(kind, n, k, q, method, use_exact, parts[key])
+                yield kind, n, p, value
+
+
+def _p_free_part(n: int, k: int, method: str, exact: bool):
+    """The first stage of :func:`posterior_sweep`: what a 'closed' or
+    'sum' value of shuffling, alone or after noise, takes from n and k
+    alone."""
     if method == "sum":
-        return v_post_ns_general(n, k, p, method="partition", exact=use_exact)
+        return partition_masses(n, k)
     if k == 2:
-        value = v_post_ns_binary_fast(n, p)
-        return value if use_exact else float(value)
-    if shuffle:
-        return v_post_shuffle_general(n, k, exact=use_exact)
-    return v_post_ns_general(n, k, p, exact=use_exact)
+        return count_mode_probability(n - 1, 0, Fraction(1, 2))
+    return v_post_shuffle_general(n, k, exact=exact)
+
+
+def _with_p(kind: str, n: int, k: int, p: Scalar, method: str, exact: bool,
+            part) -> Scalar:
+    """The second stage of :func:`posterior_sweep`: the value at p from
+    the first stage's ``part``."""
+    if method == "sum":
+        return partition_score(part, n, k, p, exact)
+    if k == 2:
+        value = binary_vulnerability(p, part)
+        return value if exact else float(value)
+    return part if kind == "shuffle" else linear_relation(part, k, p, exact)

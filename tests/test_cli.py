@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rrshuffle import cli
+from rrshuffle import cli, closed_forms
 from rrshuffle.cli import main
-from rrshuffle.scalars import FLOAT_TOL
+from rrshuffle.closed_forms import posterior_for
+from rrshuffle.scalars import FLOAT_TOL, parse_scalar
 
 
 def run(capsys, *argv):
@@ -217,6 +218,89 @@ def test_sweep_approx_method(capsys):
                        "--method", "approx")
     assert code == 0
     assert float(out.strip().splitlines()[1].split(",")[5]) > 0.25
+
+
+def test_sweep_approx_names_the_n_outside_its_regime(capsys):
+    # n >= k ln k fails only at n = 1 for k = 2; the estimate there exceeds 1
+    code, out, err = run(capsys, "sweep", "--mech", "shuffle", "--k", "2",
+                         "--n-start", "1", "--n-end", "3", "--method", "approx")
+    assert code == 0
+    assert float(out.splitlines()[1].split(",")[5]) > 1
+    assert err == "warning: --method approx is outside its regime n >= k ln k at n = 1\n"
+    code, _, err = run(capsys, "sweep", "--mech", "shuffle", "--k", "10",
+                       "--n-start", "1", "--n-end", "40", "--method", "approx")
+    assert code == 0
+    assert err.count("\n") == 1 and err.endswith("at n = 1, 2, ..., 23\n")
+    code, _, err = run(capsys, "vuln", "--mech", "krr-shuffle", "--k", "3", "--n", "3",
+                       "--p", "0.6", "--method", "approx")
+    assert code == 0 and err.endswith("at n = 3\n")
+    code, _, err = run(capsys, "sweep", "--mech", "shuffle", "--k", "2",
+                       "--n-start", "2", "--n-end", "3", "--method", "approx")
+    assert code == 0 and err == ""
+
+
+@pytest.mark.parametrize("flags", [("--p", "0.1"), ("--p", "0.6"), ("--epsilon", "1"),
+                                   ("--p", "3/4", "--exact")])
+def test_sweep_of_shuffle_alone_rejects_p_and_epsilon(capsys, flags):
+    # the shuffle's value does not depend on p, so a p is a usage error
+    code, out, err = run(capsys, "sweep", "--mech", "shuffle", "--k", "3",
+                         "--n-start", "1", "--n-end", "3", *flags)
+    assert code == 1
+    assert out == ""
+    assert err == "error: --p and --epsilon do not apply to mechanism 'shuffle'\n"
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("method", ["closed", "sum", "approx"])
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_sweep_rows_equal_posterior_for_at_each_point(capsys, k, method, exact):
+    # n crosses 64, where a float sweep's shuffle value turns from exact to binary64
+    mechs = ["shuffle", "krr-shuffle"] + (["krr"] if method != "approx" else [])
+    argv = ["sweep", "--k", str(k), "--n-start", "60", "--n-end", "70", "--n-step", "2",
+            "--method", method, "--p", "0.6", "--p", "3/4", "--p", "0.9"]
+    for mech in mechs:
+        argv += ["--mech", mech]
+    code, out, _ = run(capsys, *argv, *(["--exact"] if exact else []))
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert len(rows) == 6 * (1 + 3 * (len(mechs) - 1))
+    for mech, n, _, p, _, value in rows:
+        p = parse_scalar(p, exact) if p else None
+        expected = posterior_for(mech, int(n), k, p, method, exact or None)
+        assert value == cli._fmt(expected, exact), (mech, n, p)
+
+
+@pytest.mark.parametrize("method, k, exact, counted", [
+    ("closed", 3, False, "v_post_shuffle_general"),
+    ("closed", 3, True, "v_post_shuffle_general"),
+    ("closed", 2, False, "count_mode_probability"),
+    ("sum", 3, False, "partition_terms"),
+    ("sum", 2, True, "partition_terms"),
+])
+def test_sweep_computes_each_p_free_part_once_per_n_and_mode(capsys, monkeypatch,
+                                                             method, k, exact, counted):
+    calls = []
+    real = getattr(closed_forms, counted)
+
+    def counting(*args, **kwargs):
+        n = args[0] + 1 if counted == "count_mode_probability" else args[0]
+        calls.append((n, kwargs.get("exact")))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(closed_forms, counted, counting)
+    ns = range(60, 71, 2)
+    code, _, _ = run(capsys, "sweep", "--mech", "krr-shuffle", "--mech", "shuffle",
+                     "--k", str(k), "--n-start", "60", "--n-end", "70", "--n-step", "2",
+                     "--method", method, "--p", "0.6", "--p", "3/4", "--p", "0.9",
+                     *(["--exact"] if exact else []))
+    assert code == 0
+    if counted == "v_post_shuffle_general":
+        # shuffling alone is exact at n <= 64 even in a float sweep, noise
+        # then shuffle is not, and one V_S is never rounded into the other
+        expected = {(n, mode) for n in ns for mode in (exact, exact or n <= 64)}
+    else:
+        expected = {(n, None) for n in ns}
+    assert sorted(calls) == sorted(expected)
 
 
 # ---------------------------------------------------------------------------

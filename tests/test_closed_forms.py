@@ -383,6 +383,12 @@ def test_max_load_forms_agree():
         assert scaled_max_load(n, k) == scaled_max_load_via_multinomials(n, k)
 
 
+@pytest.mark.parametrize("n, k", [(200, 3), (120, 4), (80, 6)])
+def test_max_load_recursion_equals_partition_sum_over_many_bin_sizes(n, k):
+    # the exact factors are carried through about n/2 bin sizes
+    assert scaled_max_load(n, k) == scaled_max_load_via_multinomials(n, k)
+
+
 def test_max_load_6_3_uses_seven_partitions():
     from rrshuffle.combinatorics import partition_terms
 
@@ -485,6 +491,26 @@ def test_posterior_for_rejects_an_unknown_method(kind):
     with pytest.raises(ValueError,
                        match="method must be 'closed', 'sum', 'oracle' or 'approx'"):
         posterior_for(kind, 5, 3, p, "bogus")
+
+
+def test_posterior_sweep_checks_every_input_before_any_value(monkeypatch):
+    def no_values(*args, **kwargs):
+        raise AssertionError("a value was computed before the inputs were checked")
+
+    monkeypatch.setattr(closed_forms, "v_post_shuffle_general", no_values)
+    kinds, ps = ("krr-shuffle", "shuffle"), (Fraction(1, 2), Fraction(3, 5))
+    for ns, k, bad_ps, message in (
+        (range(0, 3), 1, (Fraction(1, 5),), "n must be at least 1"),
+        (range(1, 3), 1, (Fraction(1, 5),), "k must be at least 2"),
+        (range(1, 3), 3, (Fraction(1, 5), 2), r"p must lie in \[1/3, 1\] \(got Fraction\(1, 5\)"),
+        (range(1, 3), 3, (2, Fraction(1, 5)), r"\(got 2\)"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            next(closed_forms.posterior_sweep(kinds, ns, k, ps + bad_ps))
+    with pytest.raises(ValueError, match="method must be"):
+        next(closed_forms.posterior_sweep(kinds, range(1, 3), 3, ps, "bogus"))
+    with pytest.raises(ValueError, match="needs p"):
+        next(closed_forms.posterior_sweep(kinds, range(1, 3), 3))
 
 
 @pytest.mark.parametrize("kind", MECHANISMS)
