@@ -130,7 +130,7 @@ def _resolve_p(args, k: int, single: bool = False) -> list:
 
 def _fmt(value: Scalar, exact: bool) -> str:
     if exact and is_exact(value):
-        return str(Fraction(value))
+        return str(value)
     return repr(float(value))
 
 
@@ -155,16 +155,10 @@ def cmd_vuln(args) -> int:
     posterior = cf.posterior_for(args.mech, args.n, args.k, p, args.method,
                                  args.exact or None)
     prior = Fraction(1, args.k) if args.exact else 1.0 / args.k
-    mult = (
-        Fraction(posterior) / prior
-        if args.exact and is_exact(posterior)
-        else float(posterior) * args.k
-    )
-    add = (
-        Fraction(posterior) - prior
-        if args.exact and is_exact(posterior)
-        else float(posterior) - 1.0 / args.k
-    )
+    if args.exact and is_exact(posterior):
+        mult, add = posterior * args.k, posterior - prior
+    else:
+        mult, add = float(posterior) * args.k, float(posterior) - 1.0 / args.k
     if p is None:
         p_text = eps_text = "-"
     else:

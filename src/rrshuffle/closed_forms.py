@@ -19,6 +19,11 @@ composition sum stays only as a test of the partition sum.
 runs every method in :data:`METHODS`, the brute-force oracle included,
 as the one-point case of :func:`posterior_sweep`, which computes what
 does not depend on p once per n of a grid.
+
+Each exact value here is one integer quotient: p, a mode or V_S is read
+as integers by ``as_integer_ratio()``, the formula is evaluated on
+integers, and one ``Fraction`` is built at the end (a float-mode value
+of :func:`partition_score` is the same quotient, rounded once).
 """
 
 from __future__ import annotations
@@ -95,10 +100,14 @@ def binary_vulnerability(p: Scalar, mode: Fraction) -> Scalar:
     The target's two values give output laws p B(z-1) + (1-p) B(z) and
     (1-p) B(z-1) + p B(z), which differ by (2p - 1)(B(z-1) - B(z)); B
     is unimodal, so these sum in absolute value to 2 |2p - 1| max B.
-    For a float p the exact mode is rounded once.
+    For an exact p = s/d and mode = M/D that is one quotient,
+    (d D + |2s - d| M) / (2 d D).  For a float p the exact mode is
+    rounded once.
     """
     if is_exact(p):
-        return Fraction(1, 2) + abs(Fraction(p) - Fraction(1, 2)) * mode
+        s, d = p.as_integer_ratio()
+        m, m_den = mode.as_integer_ratio()
+        return Fraction(d * m_den + abs(2 * s - d) * m, 2 * d * m_den)
     return 0.5 + abs(p - 0.5) * float(mode)
 
 
@@ -111,8 +120,7 @@ def count_mode_probability(a: int, b: int, p: Scalar) -> Fraction:
     are evaluated.  A float p is read as the rational s/d it denotes,
     and each point probability is one integer sum over d^(a+b).
     """
-    q = Fraction(p)
-    s, d = q.numerator, q.denominator
+    s, d = p.as_integer_ratio()
     mean = a * s + b * (d - s)  # the mean times d
     tops = {mean // d, -(-mean // d)}
     return Fraction(max(_count_mass(a, b, s, d - s, z) for z in tops), d ** (a + b))
@@ -370,10 +378,14 @@ def v_post_ns_general(
 
 def linear_relation(v_s: Scalar, k: int, p: Scalar, exact: bool) -> Scalar:
     """Noise then shuffle from the shuffle value V_S:
-    V_S (kp - 1)/(k - 1) + (1 - p)/(k - 1), exact or in binary64."""
+    V_S (kp - 1)/(k - 1) + (1 - p)/(k - 1), exact or in binary64.
+
+    Exact, with V_S = a/b and p = s/d, it is one quotient,
+    (a (ks - d) + b (d - s)) / (b d (k - 1))."""
     if exact:
-        p = Fraction(p)
-        return v_s * Fraction(k * p - 1, k - 1) + Fraction(1 - p, k - 1)
+        a, b = v_s.as_integer_ratio()
+        s, d = p.as_integer_ratio()
+        return Fraction(a * (k * s - d) + b * (d - s), b * d * (k - 1))
     v_s = float(v_s)
     return v_s * (k * p - 1) / (k - 1) + (1 - p) / (k - 1)
 
@@ -392,14 +404,17 @@ def partition_masses(n: int, k: int) -> tuple[int, int]:
 def partition_score(masses: tuple[int, int], n: int, k: int, p: Scalar,
                     exact: bool) -> Scalar:
     """The partition sum from its :func:`partition_masses`:
-    sum count (top p + (n - top)(1 - p)/(k - 1)) / (n sum count), divided
-    once, exactly, so for a float p, read as the rational it denotes, the
-    float result is this value rounded once."""
+    sum count (top p + (n - top)(1 - p)/(k - 1)) / (n sum count).  With
+    p read as the rational s/d it denotes, that is one integer quotient,
+    (s top_mass (k - 1) + (d - s) rest_mass) / (d (k - 1) total n),
+    divided once: into a ``Fraction``, or, for a float result, rounded
+    once to binary64."""
     top_mass, total = masses
-    q = Fraction(p)
+    s, d = p.as_integer_ratio()
     rest_mass = n * total - top_mass  # sum count (n - top)
-    value = (q * top_mass + (1 - q) * Fraction(rest_mass, k - 1)) / (total * n)
-    return value if exact else float(value)
+    num = s * top_mass * (k - 1) + (d - s) * rest_mass
+    den = d * (k - 1) * total * n
+    return Fraction(num, den) if exact else num / den
 
 
 # ---------------------------------------------------------------------------
@@ -534,9 +549,10 @@ def posterior_sweep(
     V_S from :func:`v_post_shuffle_general`, once per n and scalar mode
     (a float grid computes shuffling alone exactly for n <= 64 but noise
     then shuffle in binary64, and the float V_S is not the exact one
-    rounded).  The second is the arithmetic in p:
-    :func:`binary_vulnerability`, :func:`linear_relation` or
-    :func:`partition_score`.  'oracle' and 'approx' run per point.
+    rounded).  The second is the arithmetic in p, one integer quotient
+    per value: :func:`binary_vulnerability`, :func:`linear_relation` or
+    :func:`partition_score`.  Each p is read as the rational it denotes
+    once for the whole grid.  'oracle' and 'approx' run per point.
     """
     for kind in kinds:
         if kind not in MECHANISMS:
@@ -550,20 +566,23 @@ def posterior_sweep(
         raise ValueError("method must be 'closed', 'sum', 'oracle' or 'approx'")
     if method == "approx" and "krr" in kinds:
         raise ValueError("no asymptotic form for noise alone; V = p exactly")
+    # each p with the rational it denotes, converted once for the grid
+    points = [(p, Fraction(p)) for p in ps]
+    alone = [(None, Fraction(1))]  # shuffling alone: noise then shuffle at p = 1
     parts: dict = {}  # first-stage values by n, and by scalar mode for V_S
     for kind in kinds:
         for n in ns:
-            for p in (None,) if kind == "shuffle" else ps:
+            for p, rational in alone if kind == "shuffle" else points:
                 q = 1 if p is None else p
                 if method == "oracle":
-                    value = oracle_posterior(n, k, kind.split("-"), Fraction(q))
+                    value = oracle_posterior(n, k, kind.split("-"), rational)
                 elif method == "approx":
                     approx = v_approx_shuffle(n, k) if p is None else v_approx_ns(n, k, p)
                     value = approx.value
                 else:
                     use_exact = _pick_exact(n, exact, q)
                     if use_exact:
-                        q = Fraction(q)
+                        q = rational
                     if kind == "krr":
                         value = q if use_exact else float(q)
                     else:

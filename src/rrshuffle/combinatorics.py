@@ -213,8 +213,7 @@ def record_weights(k: int, p: Scalar):
     binary64, and ``base`` is None.
     """
     if is_exact(p):
-        p = Fraction(p)
-        a, b = p.numerator, p.denominator
+        a, b = p.as_integer_ratio()
         return a * (k - 1), b - a, b * (k - 1)
     return p, (1 - p) / (k - 1), None
 
@@ -269,25 +268,27 @@ def epsilon_to_p(epsilon: float, k: int, exact: bool = False) -> Scalar:
     """Truthful-report probability of k-ary randomized response at a
     given privacy parameter: p = e^eps / (k - 1 + e^eps).
 
-    The rational E / (k - 1 + E), E being the value binary64 e^eps
-    denotes, so eps = 0 gives exactly 1/k; with ``exact`` unset it is
-    rounded once to binary64.  Raises ``ValueError`` for an epsilon
+    The rational E / (k - 1 + E), E = s/d being the value binary64
+    e^eps denotes, is one integer quotient s / ((k - 1) d + s), so
+    eps = 0 gives exactly 1/k; with ``exact`` unset it is rounded once to
+    binary64.  Raises ``ValueError`` for an epsilon
     :func:`~rrshuffle.scalars.exp_epsilon` refuses and for k < 2."""
-    e = Fraction(exp_epsilon(epsilon))
+    s, d = exp_epsilon(epsilon).as_integer_ratio()
     require_mechanism(k=k)
-    p = e / (k - 1 + e)
-    return p if exact else float(p)
+    den = (k - 1) * d + s
+    return Fraction(s, den) if exact else s / den
 
 
 def p_to_epsilon(p: Scalar, k: int) -> float:
     """Inverse of :func:`epsilon_to_p`: eps = ln(p (k-1) / (1 - p)) for
-    1/k <= p < 1.  k and p are checked by
+    1/k <= p < 1; for an exact p = s/d the ratio is one integer quotient,
+    s (k-1) / (d - s), rounded once.  k and p are checked by
     :func:`~rrshuffle.scalars.require_mechanism`, and p = 1 (an infinite
     epsilon) is refused as well, each with a ``ValueError``."""
     require_mechanism(k=k, p=p)
     if p == 1:
         raise ValueError("epsilon is infinite at p = 1")
     if is_exact(p):
-        ratio = Fraction(p) * (k - 1) / (1 - Fraction(p))
-        return math.log(ratio)
+        s, d = p.as_integer_ratio()
+        return math.log(s * (k - 1) / (d - s))
     return math.log(p * (k - 1) / (1 - p))

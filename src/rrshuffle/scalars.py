@@ -6,6 +6,12 @@ Which backend is in use follows the inputs: feed a ``Fraction``
 parameter in and every derived quantity stays exact, with no rounding
 anywhere; feed a ``float`` in and the computation runs in binary64.
 Float results are compared with an absolute tolerance of ``FLOAT_TOL``.
+An exact value is one integer quotient: its inputs are read as integer
+pairs by ``as_integer_ratio()`` (which ``int``, ``Fraction`` and
+``float`` all have), one integer numerator and one integer denominator
+are built from them, and the two are divided once, into one
+``Fraction`` or, in float mode, one correctly rounded binary64, with no
+chain of ``Fraction`` operations in between.
 
 The input rules live here too, one function each: :func:`require_mechanism`
 for n, k and p, :func:`require_distribution` for a probability vector (a
@@ -45,17 +51,23 @@ def require_mechanism(n: Optional[int] = None, k: Optional[int] = None,
                       p: Optional[Scalar] = None) -> None:
     """Reject n < 1 records, then k < 2 letters, then p outside [1/k, 1]
     (p needs k), with a ``ValueError``; an argument left None is not
-    checked.  A float p gets ``FLOAT_TOL`` slack at 1/k only: bounds like
-    1/3 are not binary64, and converted inputs can land one ulp below."""
+    checked.  An exact p = s/d is checked as d <= k s <= k d, in
+    integers.  A float p gets ``FLOAT_TOL`` slack at 1/k only: bounds
+    like 1/3 are not binary64, and converted inputs can land one ulp
+    below."""
     if n is not None and n < 1:
         raise ValueError("n must be at least 1")
     if k is not None and k < 2:
         raise ValueError("k must be at least 2")
     if p is None:
         return
-    lower = Fraction(1, k)
-    if not (lower <= p <= 1 if is_exact(p) else float(lower) - FLOAT_TOL <= p <= 1):
-        raise ValueError("p must lie in [%s, 1] (got %r)" % (lower, p))
+    if is_exact(p):
+        s, d = p.as_integer_ratio()  # d > 0: 1/k <= s/d <= 1 in integers
+        ok = d <= k * s <= k * d
+    else:
+        ok = 1 / k - FLOAT_TOL <= p <= 1
+    if not ok:
+        raise ValueError("p must lie in [%s, 1] (got %s)" % (Fraction(1, k), p))
 
 
 def require_distribution(what: str, values: Sequence[Scalar],

@@ -101,6 +101,20 @@ def test_vuln_rejects_bad_p(capsys):
     assert "must lie in" in err
 
 
+@pytest.mark.parametrize("p, exact, shown", [
+    ("0.33333333333", True, "33333333333/100000000000"),
+    ("1/5", True, "1/5"),
+    ("0.3", False, "0.3"),
+    ("2", False, "2.0"),
+])
+def test_an_out_of_range_p_is_printed_as_given(capsys, p, exact, shown):
+    # an exact p as a fraction, a float p by its repr
+    code, out, err = run(capsys, "vuln", "--mech", "krr-shuffle", "--k", "3", "--n", "5",
+                         "--p", p, *(["--exact"] if exact else []))
+    assert (code, out) == (1, "")
+    assert err == "error: p must lie in [1/3, 1] (got %s)\n" % shown
+
+
 def test_vuln_rejects_zero_denominator_p(capsys):
     code, out, err = run(capsys, "vuln", "--mech", "krr-shuffle", "--n", "5",
                          "--k", "3", "--p", "1/0")
@@ -268,6 +282,21 @@ def test_sweep_rows_equal_posterior_for_at_each_point(capsys, k, method, exact):
         p = parse_scalar(p, exact) if p else None
         expected = posterior_for(mech, int(n), k, p, method, exact or None)
         assert value == cli._fmt(expected, exact), (mech, n, p)
+
+
+@pytest.mark.parametrize("p", ["33/64", "3/5", "1"])
+def test_binary_exact_sweep_closed_equals_sum_up_to_n_200(capsys, p):
+    # the single-binomial mode form against the partition sum, row for row
+    rows = {}
+    for method in ("closed", "sum"):
+        code, out, _ = run(capsys, "sweep", "--k", "2", "--n-start", "1", "--n-end", "200",
+                           "--mech", "shuffle", "--mech", "krr-shuffle", "--p", p,
+                           "--method", method, "--exact")
+        assert code == 0
+        rows[method] = [line.replace(",%s," % method, ",-,")
+                        for line in out.splitlines()[1:]]
+    assert len(rows["closed"]) == 400
+    assert rows["closed"] == rows["sum"]
 
 
 @pytest.mark.parametrize("method, k, exact, counted", [

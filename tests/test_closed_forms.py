@@ -9,7 +9,11 @@ from hypothesis import strategies as st
 from rrshuffle import checks, closed_forms
 from rrshuffle.closed_forms import (
     MECHANISMS,
+    _count_mass,
+    binary_vulnerability,
     count_mode_probability,
+    linear_relation,
+    partition_score,
     posterior_for,
     scaled_max_load,
     scaled_max_load_via_multinomials,
@@ -23,9 +27,15 @@ from rrshuffle.closed_forms import (
     v_post_shuffle_binary_sum,
     v_post_shuffle_general,
 )
-from rrshuffle.combinatorics import enumerate_histograms, multinomial
+from rrshuffle.combinatorics import (
+    enumerate_histograms,
+    epsilon_to_p,
+    multinomial,
+    p_to_epsilon,
+    record_weights,
+)
 from rrshuffle.oracle import oracle_posterior
-from rrshuffle.scalars import FLOAT_TOL, require_mechanism
+from rrshuffle.scalars import FLOAT_TOL, is_exact, require_mechanism
 
 P_GRID = [Fraction(1, 2), Fraction(3, 5), Fraction(3, 4), Fraction(9, 10), Fraction(1)]
 
@@ -72,6 +82,49 @@ def test_mechanism_rule_checks_n_then_k_then_p():
     require_mechanism(1, 3, 1 / 3 - FLOAT_TOL / 2)  # float slack at 1/k only
     with pytest.raises(ValueError, match="p must lie in"):
         require_mechanism(1, 3, 1 + 1e-15)
+
+
+def accepts(k, p):
+    try:
+        require_mechanism(k=k, p=p)
+    except ValueError:
+        return False
+    return True
+
+
+@given(st.integers(2, 50), st.integers(1, 10**15), st.data())
+@settings(max_examples=300, deadline=None)
+def test_an_exact_p_is_accepted_exactly_on_the_rational_interval(k, d, data):
+    p = Fraction(data.draw(st.integers(-2 * d, 2 * d)), d)
+    assert accepts(k, p) == (Fraction(1, k) <= p <= 1)
+
+
+@pytest.mark.parametrize("k", [2, 3, 7, 49, 50])
+def test_the_exact_p_rule_at_its_edges(k):
+    tiny = Fraction(1, 10**30)
+    for p in (Fraction(1, k), Fraction(1), 1, Fraction(1, k) + tiny, 1 - tiny):
+        assert accepts(k, p), p
+    for p in (Fraction(-1, k), -1, 0, 2, Fraction(1, k) - tiny, 1 + tiny,
+              Fraction(10**30 + 1, 10**30)):
+        assert not accepts(k, p), p
+    with pytest.raises(ValueError, match=r"\(got -1/%d\)$" % k):
+        require_mechanism(k=k, p=Fraction(-1, k))
+
+
+@given(st.integers(2, 50), st.floats(min_value=-0.5, max_value=1.5))
+@settings(max_examples=300, deadline=None)
+def test_the_float_p_rule_keeps_its_slack_at_one_over_k(k, p):
+    assert accepts(k, p) == (float(Fraction(1, k)) - FLOAT_TOL <= p <= 1)
+
+
+@pytest.mark.parametrize("k", [2, 3, 7, 50])
+def test_the_float_p_rule_at_its_edges(k):
+    lowest = 1 / k - FLOAT_TOL
+    assert accepts(k, lowest) and accepts(k, 1.0)
+    assert not accepts(k, math.nextafter(lowest, 0))
+    assert not accepts(k, math.nextafter(1.0, 2))
+    with pytest.raises(ValueError, match=r"\(got 1.5\)$"):
+        require_mechanism(k=k, p=1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +555,7 @@ def test_posterior_sweep_checks_every_input_before_any_value(monkeypatch):
     for ns, k, bad_ps, message in (
         (range(0, 3), 1, (Fraction(1, 5),), "n must be at least 1"),
         (range(1, 3), 1, (Fraction(1, 5),), "k must be at least 2"),
-        (range(1, 3), 3, (Fraction(1, 5), 2), r"p must lie in \[1/3, 1\] \(got Fraction\(1, 5\)"),
+        (range(1, 3), 3, (Fraction(1, 5), 2), r"p must lie in \[1/3, 1\] \(got 1/5\)"),
         (range(1, 3), 3, (2, Fraction(1, 5)), r"\(got 2\)"),
     ):
         with pytest.raises(ValueError, match=message):
@@ -584,3 +637,115 @@ def test_posterior_for_auto_mode_switches_to_float():
     assert isinstance(big, float)
     small = posterior_for("shuffle", 20, 2)
     assert isinstance(small, Fraction)
+
+
+# ---------------------------------------------------------------------------
+# one integer quotient per value, against the Fraction chains it replaced
+# ---------------------------------------------------------------------------
+
+
+def chain_binary_vulnerability(p, mode):
+    if is_exact(p):
+        return Fraction(1, 2) + abs(Fraction(p) - Fraction(1, 2)) * mode
+    return 0.5 + abs(p - 0.5) * float(mode)
+
+
+def chain_partition_score(masses, n, k, p, exact):
+    top_mass, total = masses
+    q = Fraction(p)
+    rest_mass = n * total - top_mass
+    value = (q * top_mass + (1 - q) * Fraction(rest_mass, k - 1)) / (total * n)
+    return value if exact else float(value)
+
+
+def chain_linear_relation(v_s, k, p, exact):
+    if exact:
+        p = Fraction(p)
+        return v_s * Fraction(k * p - 1, k - 1) + Fraction(1 - p, k - 1)
+    v_s = float(v_s)
+    return v_s * (k * p - 1) / (k - 1) + (1 - p) / (k - 1)
+
+
+def chain_p_to_epsilon(p, k):
+    if is_exact(p):
+        return math.log(Fraction(p) * (k - 1) / (1 - Fraction(p)))
+    return math.log(p * (k - 1) / (1 - p))
+
+
+def chain_count_mode_probability(a, b, p):
+    q = Fraction(p)
+    s, d = q.numerator, q.denominator
+    mean = a * s + b * (d - s)
+    tops = {mean // d, -(-mean // d)}
+    return Fraction(max(_count_mass(a, b, s, d - s, z) for z in tops), d ** (a + b))
+
+
+def chain_epsilon_to_p(epsilon, k, exact):
+    e = Fraction(math.exp(epsilon))
+    p = e / (k - 1 + e)
+    return p if exact else float(p)
+
+
+def chain_record_weights(k, p):
+    if is_exact(p):
+        p = Fraction(p)
+        a, b = p.numerator, p.denominator
+        return a * (k - 1), b - a, b * (k - 1)
+    return p, (1 - p) / (k - 1), None
+
+
+def assert_same(got, want):
+    """Equal and of one type, a float to the bit, a tuple entry by entry."""
+    assert type(got) is type(want), (got, want)
+    if isinstance(want, tuple):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_same(g, w)
+    elif isinstance(want, float):
+        assert got.hex() == want.hex()
+    else:
+        assert got == want
+
+
+def rationals(low, high=Fraction(1)):
+    """Rationals in [low, high] with denominators up to 10^12."""
+    return st.integers(1, 10**12).flatmap(lambda d: st.integers(
+        -(-low.numerator * d // low.denominator), high.numerator * d // high.denominator
+    ).map(lambda s: Fraction(s, d)))
+
+
+def probabilities(k):
+    """An exact, an int or a float p that the mechanism rule accepts."""
+    return st.one_of(
+        rationals(Fraction(1, k)),
+        st.just(1),
+        st.floats(min_value=1 / k - FLOAT_TOL, max_value=1.0),
+    )
+
+
+@given(st.integers(2, 10).flatmap(lambda k: st.tuples(st.just(k), probabilities(k))),
+       st.booleans(), st.data())
+@settings(max_examples=400, deadline=None)
+def test_each_value_is_the_fraction_chain_it_replaced(kp, exact, data):
+    k, p = kp
+    mode = data.draw(rationals(Fraction(1, 10**6)))
+    assert_same(binary_vulnerability(p, mode), chain_binary_vulnerability(p, mode))
+
+    n = data.draw(st.integers(1, 200))
+    total = data.draw(st.integers(1, 10**40))
+    top_mass = data.draw(st.integers(-(-n * total // k), n * total))
+    masses = (top_mass, total)
+    assert_same(partition_score(masses, n, k, p, exact),
+                chain_partition_score(masses, n, k, p, exact))
+
+    v_s = data.draw(rationals(Fraction(1, k)))
+    v_s = v_s if exact else float(v_s)
+    assert_same(linear_relation(v_s, k, p, exact), chain_linear_relation(v_s, k, p, exact))
+
+    if p != 1:
+        assert_same(p_to_epsilon(p, k), chain_p_to_epsilon(p, k))
+    a, b = data.draw(st.integers(0, 25)), data.draw(st.integers(0, 25))
+    assert_same(count_mode_probability(a, b, p), chain_count_mode_probability(a, b, p))
+    assert_same(record_weights(k, p), chain_record_weights(k, p))
+    epsilon = data.draw(st.floats(min_value=0, max_value=50))
+    assert_same(epsilon_to_p(epsilon, k, exact), chain_epsilon_to_p(epsilon, k, exact))
