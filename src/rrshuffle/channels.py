@@ -45,7 +45,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import countOf, floordiv, ge, sub, truediv
+from operator import floordiv, ge, sub, truediv
 
 from .combinatorics import enumerate_histograms, match_weights, record_weights
 from .scalars import (
@@ -53,9 +53,9 @@ from .scalars import (
     Scalar,
     all_exact,
     exp_epsilon,
-    integer_rows,
     require_distribution,
     require_mechanism,
+    stored_rows,
 )
 
 #: Default bound on k**n for full (dataset-indexed) channel construction.
@@ -134,22 +134,13 @@ class Channel:
 
     def __new__(cls, row_labels, col_labels, rows):
         """Channel from rows of probabilities: exact when every entry is
-        a ``Fraction`` or an ``int``, binary64 otherwise.
-
-        Exact rows become integers over their least common denominator.
-        A float row that holds a non-float or a zero is converted entry
-        by entry (so -0.0 is stored as 0.0); a row of nonzero floats,
-        found in two C-level passes, is stored as the same object.  The
-        labels and rows are then validated (:meth:`__post_init__`).
+        a ``Fraction`` or an ``int``, binary64 otherwise, stored by
+        :func:`~rrshuffle.scalars.stored_rows` (integers over their least
+        common denominator, or binary64 with -0.0 stored as 0.0 and a row
+        of nonzero floats kept as the same object).  The labels and rows
+        are then validated (:meth:`__post_init__`).
         """
-        rows = [tuple(row) for row in rows]
-        if all(map(all_exact, rows)):
-            self = cls._stored(row_labels, col_labels, *integer_rows(rows))
-        else:
-            num = [row if countOf(map(type, row), float) == len(row) and all(row)
-                   else tuple(map(_binary64_entry, row))
-                   for row in rows]
-            self = cls._stored(row_labels, col_labels, num, None)
+        self = cls._stored(row_labels, col_labels, *stored_rows(rows))
         self.__post_init__()
         return self
 
@@ -279,12 +270,6 @@ class Channel:
         for label, row in zip(self.row_labels, self.num):
             lines.append(label + "," + ",".join(map(memo.__getitem__, row)))
         return "\n".join(lines) + "\n"
-
-
-def _binary64_entry(e) -> float:
-    """``e`` rounded once to binary64: adding 0.0 refuses non-numbers and
-    turns -0.0 into 0.0, ``float`` drops float subclasses."""
-    return float(e + 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -514,8 +514,9 @@ def posterior_for(
     for k = 2, the bounded-load recursion and the linear relation for
     k > 2); 'sum' the direct sum over partition shapes for every k;
     'oracle' the brute force of :func:`~rrshuffle.oracle.oracle_posterior`
-    over the stages ``kind`` split at '-', a ``Fraction`` in either mode;
-    'approx' the asymptotic estimate.
+    over the stages ``kind`` split at '-', at the rational p denotes
+    clamped to [1/k, 1], a ``Fraction`` in either mode; 'approx' the
+    asymptotic estimate.
 
     One scalar-mode rule: ``exact`` if given, else exact for n <= 64
     and an exact p.  In exact mode a float p is read as the rational it
@@ -552,7 +553,8 @@ def posterior_sweep(
     rounded).  The second is the arithmetic in p, one integer quotient
     per value: :func:`binary_vulnerability`, :func:`linear_relation` or
     :func:`partition_score`.  Each p is read as the rational it denotes
-    once for the whole grid.  'oracle' and 'approx' run per point.
+    once for the whole grid.  'oracle' and 'approx' run per point, the
+    oracle at that rational clamped to [1/k, 1].
     """
     for kind in kinds:
         if kind not in MECHANISMS:
@@ -575,7 +577,10 @@ def posterior_sweep(
             for p, rational in alone if kind == "shuffle" else points:
                 q = 1 if p is None else p
                 if method == "oracle":
-                    value = oracle_posterior(n, k, kind.split("-"), rational)
+                    # a float p passes with FLOAT_TOL slack at 1/k, but its
+                    # rational may lie just below 1/k, where the oracle refuses it
+                    value = oracle_posterior(n, k, kind.split("-"),
+                                             min(max(rational, Fraction(1, k)), 1))
                 elif method == "approx":
                     approx = v_approx_shuffle(n, k) if p is None else v_approx_ns(n, k, p)
                     value = approx.value

@@ -11,7 +11,10 @@ pairs by ``as_integer_ratio()`` (which ``int``, ``Fraction`` and
 ``float`` all have), one integer numerator and one integer denominator
 are built from them, and the two are divided once, into one
 ``Fraction`` or, in float mode, one correctly rounded binary64, with no
-chain of ``Fraction`` operations in between.
+chain of ``Fraction`` operations in between.  A table of entries (a
+channel's rows, a prior, a gain function) is converted once, where it
+enters, by :func:`stored_rows`: integers over one denominator, or
+binary64, so its mode is read from how it is stored.
 
 The input rules live here too, one function each: :func:`require_mechanism`
 for n, k and p, :func:`require_distribution` for a probability vector (a
@@ -21,8 +24,10 @@ channel row, a prior, the outer probabilities of a canonical form), and
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
+from operator import attrgetter, countOf, floordiv, mul
 from typing import Iterable, Optional, Sequence, Union
 
 Scalar = Union[Fraction, float, int]
@@ -33,18 +38,41 @@ FLOAT_TOL = 1e-9
 
 def is_exact(value: Scalar) -> bool:
     """True if ``value`` carries no rounding (a rational or an int)."""
-    return isinstance(value, (Fraction, int)) and not isinstance(value, bool)
+    return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
 
 
 def all_exact(values: Iterable[Scalar]) -> bool:
-    return all(is_exact(v) for v in values)
+    return all(map(is_exact, values))
 
 
-def integer_rows(rows: Sequence[Sequence[Scalar]]):
-    """Rows of rationals as integer rows over their least common
-    denominator: (integer rows, den), entry e becoming e * den."""
-    den = math.lcm(*{e.denominator for row in rows for e in row})
-    return [tuple(e.numerator * (den // e.denominator) for e in row) for row in rows], den
+_numerator, _denominator = attrgetter("numerator"), attrgetter("denominator")
+
+
+def stored_rows(rows: Iterable[Iterable[Scalar]]):
+    """Rows of probabilities or gains in their stored form, ``(num, den)``.
+
+    When every entry is a rational (``Fraction`` or ``int``): integer
+    rows over the least common denominator ``den``, entry e becoming
+    e * den.  Otherwise binary64 rows with ``den`` None: each entry
+    rounded once to a ``float`` (-0.0 stored as 0.0), and a row of
+    nonzero floats, found in two C-level passes, kept as the same
+    object.  ``num`` is a tuple of tuples either way.
+    """
+    rows = [tuple(row) for row in rows]
+    if all(map(all_exact, rows)):
+        den = math.lcm(*set(map(_denominator, itertools.chain.from_iterable(rows))))
+        return tuple(tuple(map(mul, map(_numerator, row),
+                               map(floordiv, itertools.repeat(den), map(_denominator, row))))
+                     for row in rows), den
+    return tuple(row if countOf(map(type, row), float) == len(row) and all(row)
+                 else tuple(map(_binary64_entry, row))
+                 for row in rows), None
+
+
+def _binary64_entry(e) -> float:
+    """``e`` rounded once to binary64: adding 0.0 refuses non-numbers and
+    turns -0.0 into 0.0, ``float`` drops float subclasses."""
+    return float(e + 0.0)
 
 
 def require_mechanism(n: Optional[int] = None, k: Optional[int] = None,

@@ -82,6 +82,33 @@ def test_vuln_prints_the_epsilon_it_was_given(capsys, epsilon, k, exact):
     assert record(out)["epsilon"] == repr(float(epsilon))
 
 
+@pytest.mark.parametrize("k", [2, 3, 5])
+@pytest.mark.parametrize("flags", [("--epsilon", "0"), ("--p", "1/{k}")])
+def test_float_oracle_accepts_p_at_one_over_k(capsys, k, flags):
+    # binary64 1/3 lies just below 1/3; the oracle got that rational and refused it
+    flags = [flag.format(k=k) for flag in flags]
+    values = {}
+    for method in ("oracle", "closed"):
+        code, out, err = run(capsys, "vuln", "--mech", "krr-shuffle", "--k", str(k),
+                             "--n", "4", *flags, "--method", method)
+        assert (code, err) == (0, "")
+        values[method] = float(record(out)["posterior_v"])
+    assert abs(values["oracle"] - values["closed"]) <= FLOAT_TOL
+
+
+@pytest.mark.parametrize("k, n", [(2, 5), (3, 4)])
+@pytest.mark.parametrize("mech", [("shuffle",), ("krr-shuffle", "--p", "3/5"),
+                                  ("krr", "--p", "3/5")])
+def test_closed_sum_and_oracle_print_one_value(capsys, k, n, mech):
+    lines = set()
+    for method in ("closed", "sum", "oracle"):
+        code, out, err = run(capsys, "vuln", "--mech", *mech, "--k", str(k), "--n", str(n),
+                             "--exact", "--method", method)
+        assert (code, err) == (0, "")
+        lines.add(record(out)["posterior_v"])
+    assert len(lines) == 1
+
+
 def test_vuln_requires_p(capsys):
     code, _, err = run(capsys, "vuln", "--mech", "krr", "--n", "2")
     assert code == 1

@@ -11,6 +11,7 @@ from rrshuffle.channels import (
     enumerate_datasets,
     enumerate_histograms,
 )
+from rrshuffle.closed_forms import v_post_ns_general
 from rrshuffle.combinatorics import krr_histogram_transition
 from rrshuffle.oracle import (
     ORACLE_CAP,
@@ -65,6 +66,15 @@ def test_oracle_block_sums_equal_the_literal_column_loop(n, k):
         for pipeline in (["krr"], ["krr", "shuffle"], ["shuffle", "krr"]):
             assert oracle_posterior(n, k, pipeline, p) == (
                 literal_oracle_posterior(n, k, pipeline, p))
+
+
+@pytest.mark.parametrize("p", [Fraction(3, 5), Fraction(9, 10)])
+def test_oracle_reaches_six_records_at_k3_in_either_stage_order(p):
+    # at the size cap, 729 x 729 stages
+    assert 3**6 == ORACLE_CAP
+    want = v_post_ns_general(6, 3, p, exact=True)
+    for pipeline in (["krr", "shuffle"], ["shuffle", "krr"]):
+        assert oracle_posterior(6, 3, pipeline, p) == want
 
 
 def test_oracle_rejects_excess_size():
