@@ -515,7 +515,7 @@ def posterior_for(
     k > 2); 'sum' the direct sum over partition shapes for every k;
     'oracle' the brute force of :func:`~rrshuffle.oracle.oracle_posterior`
     over the stages ``kind`` split at '-', at the rational p denotes
-    clamped to [1/k, 1], a ``Fraction`` in either mode; 'approx' the
+    raised to 1/k if below it, a ``Fraction`` in either mode; 'approx' the
     asymptotic estimate.
 
     One scalar-mode rule: ``exact`` if given, else exact for n <= 64
@@ -554,7 +554,7 @@ def posterior_sweep(
     per value: :func:`binary_vulnerability`, :func:`linear_relation` or
     :func:`partition_score`.  Each p is read as the rational it denotes
     once for the whole grid.  'oracle' and 'approx' run per point, the
-    oracle at that rational clamped to [1/k, 1].
+    oracle at that rational raised to 1/k if below it.
     """
     for kind in kinds:
         if kind not in MECHANISMS:
@@ -580,7 +580,7 @@ def posterior_sweep(
                     # a float p passes with FLOAT_TOL slack at 1/k, but its
                     # rational may lie just below 1/k, where the oracle refuses it
                     value = oracle_posterior(n, k, kind.split("-"),
-                                             min(max(rational, Fraction(1, k)), 1))
+                                             max(rational, Fraction(1, k)))
                 elif method == "approx":
                     approx = v_approx_shuffle(n, k) if p is None else v_approx_ns(n, k, p)
                     value = approx.value

@@ -88,6 +88,13 @@ def _times(vectors: list[list[int]], rows) -> list[list[int]]:
     are then summed first, column by column, and scaled once per vector:
     after a shuffle the block vectors are constant on each histogram
     class, so a dense noise stage is summed class by class.
+
+    It is a second kernel beside ``channels._matmul``, the product behind
+    ``cascade``, which groups the rows of B by value and then, for each
+    row of A, loops in Python over every nonzero of each distinct row of
+    B: taking the block vectors through a dense noise stage that way is
+    slower than the full cascade it would replace.  One kernel for both
+    callers is an open item.
     """
     members: dict[int, tuple] = {}
     for weights, row in zip(zip(*vectors), rows):  # row i's weight in each vector

@@ -11,10 +11,11 @@ pairs by ``as_integer_ratio()`` (which ``int``, ``Fraction`` and
 ``float`` all have), one integer numerator and one integer denominator
 are built from them, and the two are divided once, into one
 ``Fraction`` or, in float mode, one correctly rounded binary64, with no
-chain of ``Fraction`` operations in between.  A table of entries (a
-channel's rows, a prior, a gain function) is converted once, where it
-enters, by :func:`stored_rows`: integers over one denominator, or
-binary64, so its mode is read from how it is stored.
+chain of ``Fraction`` operations in between.  A table of exact entries
+(a channel's rows, a prior, a gain function) is converted once, where
+it enters, to integers over one denominator (:func:`integer_rows`); a
+channel's float rows are stored as binary64 (:func:`stored_rows`).  So
+the mode of a table is read from how it is stored.
 
 The input rules live here too, one function each: :func:`require_mechanism`
 for n, k and p, :func:`require_distribution` for a probability vector (a
@@ -48,22 +49,28 @@ def all_exact(values: Iterable[Scalar]) -> bool:
 _numerator, _denominator = attrgetter("numerator"), attrgetter("denominator")
 
 
-def stored_rows(rows: Iterable[Iterable[Scalar]]):
-    """Rows of probabilities or gains in their stored form, ``(num, den)``.
+def integer_rows(rows: Sequence[Sequence[Scalar]]):
+    """Rows of rationals (``Fraction`` or ``int``) as integer rows over
+    their least common denominator, ``(num, den)``: entry e becomes
+    e * den, and ``num`` is a tuple of tuples."""
+    den = math.lcm(*set(map(_denominator, itertools.chain.from_iterable(rows))))
+    return tuple(tuple(map(mul, map(_numerator, row),
+                           map(floordiv, itertools.repeat(den), map(_denominator, row))))
+                 for row in rows), den
 
-    When every entry is a rational (``Fraction`` or ``int``): integer
-    rows over the least common denominator ``den``, entry e becoming
-    e * den.  Otherwise binary64 rows with ``den`` None: each entry
-    rounded once to a ``float`` (-0.0 stored as 0.0), and a row of
-    nonzero floats, found in two C-level passes, kept as the same
-    object.  ``num`` is a tuple of tuples either way.
+
+def stored_rows(rows: Iterable[Iterable[Scalar]]):
+    """Rows of probabilities in their stored form, ``(num, den)``.
+
+    When every entry is a rational: :func:`integer_rows`.  Otherwise
+    binary64 rows with ``den`` None: each entry rounded once to a
+    ``float`` (-0.0 stored as 0.0), and a row of nonzero floats, found
+    in two C-level passes, kept as the same object.  ``num`` is a tuple
+    of tuples either way.
     """
     rows = [tuple(row) for row in rows]
     if all(map(all_exact, rows)):
-        den = math.lcm(*set(map(_denominator, itertools.chain.from_iterable(rows))))
-        return tuple(tuple(map(mul, map(_numerator, row),
-                               map(floordiv, itertools.repeat(den), map(_denominator, row))))
-                     for row in rows), den
+        return integer_rows(rows)
     return tuple(row if countOf(map(type, row), float) == len(row) and all(row)
                  else tuple(map(_binary64_entry, row))
                  for row in rows), None
