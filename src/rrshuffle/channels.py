@@ -434,7 +434,11 @@ def _matmul(A, B, ncols: int, zero) -> list[tuple]:
 
     Equal rows of B (all rows of one shuffle class) are handled once:
     the entries of a row of A over them are summed first.  Equal rows
-    of A give one shared product row.
+    of A give one shared product row.  It stays apart from
+    ``oracle._times``, which takes k vectors through a matrix by
+    grouping rows on their weights in all k: run that way, every
+    cascade but shuffle then noise was slower (its docstring has the
+    measurements).
     """
     groups: dict[tuple, list[int]] = {}
     for i, brow in enumerate(B):

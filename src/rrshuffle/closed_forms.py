@@ -390,26 +390,24 @@ def linear_relation(v_s: Scalar, k: int, p: Scalar, exact: bool) -> Scalar:
     return v_s * (k * p - 1) / (k - 1) + (1 - p) / (k - 1)
 
 
-def partition_masses(n: int, k: int) -> tuple[int, int]:
-    """(sum count top, sum count) over the (count, top) pairs of
+def partition_masses(n: int, k: int) -> int:
+    """The integer of the partition sum, which does not depend on p:
+    sum count top over the (count, top) pairs of
     :func:`~rrshuffle.combinatorics.partition_terms`, top the largest
-    bin: the two integers of the partition sum, which do not depend on p."""
-    top_mass = total = 0
-    for count, top in partition_terms(n, k):
-        top_mass += count * top
-        total += count
-    return top_mass, total
+    bin.  The counts themselves sum to k^n, the maps of n records to
+    k values."""
+    return sum(count * top for count, top in partition_terms(n, k))
 
 
-def partition_score(masses: tuple[int, int], n: int, k: int, p: Scalar,
+def partition_score(top_mass: int, n: int, k: int, p: Scalar,
                     exact: bool) -> Scalar:
-    """The partition sum from its :func:`partition_masses`:
-    sum count (top p + (n - top)(1 - p)/(k - 1)) / (n sum count).  With
+    """The partition sum from its :func:`partition_masses` integer:
+    sum count (top p + (n - top)(1 - p)/(k - 1)) / (n k^n).  With
     p read as the rational s/d it denotes, that is one integer quotient,
-    (s top_mass (k - 1) + (d - s) rest_mass) / (d (k - 1) total n),
+    (s top_mass (k - 1) + (d - s) rest_mass) / (d (k - 1) k^n n),
     divided once: into a ``Fraction``, or, for a float result, rounded
     once to binary64."""
-    top_mass, total = masses
+    total = k**n
     s, d = p.as_integer_ratio()
     rest_mass = n * total - top_mass  # sum count (n - top)
     num = s * top_mass * (k - 1) + (d - s) * rest_mass
@@ -439,7 +437,8 @@ def scaled_max_load(n: int, k: int) -> int:
 
 def scaled_max_load_via_multinomials(n: int, k: int) -> int:
     """Same integer as :func:`scaled_max_load`, by the partition sum, its
-    reference: the pair of multinomial coefficients of the vulnerability sum,
+    reference: the integer of :func:`partition_masses`, the pair of
+    multinomial coefficients of the vulnerability sum,
     multinomial(n; parts) * multinomial(k; multiplicities, k - length)
     times the largest part, summed over the partitions of n into at most
     k parts.  The coefficients come from
@@ -449,7 +448,7 @@ def scaled_max_load_via_multinomials(n: int, k: int) -> int:
     require_mechanism(n)
     if k < 1:
         raise ValueError("k must be at least 1")
-    return sum(coef * top for coef, top in partition_terms(n, k))
+    return partition_masses(n, k)
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +544,7 @@ def posterior_sweep(
     it has a form for each kind).  For
     'closed' and 'sum' a value takes two stages.  The first does not
     depend on p and runs once per n for the whole grid: the binary mode
-    of :func:`count_mode_probability` for k = 2 and the two integers of
+    of :func:`count_mode_probability` for k = 2 and the integer of
     :func:`partition_masses`, both exact in either mode, and for k > 2
     V_S from :func:`v_post_shuffle_general`, once per n and scalar mode
     (a float grid computes shuffling alone exactly for n <= 64 but noise
@@ -601,7 +600,8 @@ def posterior_sweep(
 def _p_free_part(n: int, k: int, method: str, exact: bool):
     """The first stage of :func:`posterior_sweep`: what a 'closed' or
     'sum' value of shuffling, alone or after noise, takes from n and k
-    alone."""
+    alone: for 'sum' the integer of :func:`partition_masses`, for
+    'closed' the binary mode at k = 2 and V_S above."""
     if method == "sum":
         return partition_masses(n, k)
     if k == 2:

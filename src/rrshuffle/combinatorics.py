@@ -223,8 +223,13 @@ def match_weights(n: int, k: int, p: Scalar):
     dataset to one given dataset agreeing with it in m positions, for
     m = 0..n: keep**m move**(n-m) with the weights of
     :func:`record_weights`, over the denominator base**n (None for a
-    float p)."""
+    float p).  An exact keep, move and base are first divided by their
+    gcd, so the weights and the denominator share no factor: a prime
+    of base divides at most one of keep**n and move**n."""
     keep, move, base = record_weights(k, p)
+    if base is not None:
+        g = math.gcd(keep, move, base)
+        keep, move, base = keep // g, move // g, base // g
     weights = [keep**m * move ** (n - m) for m in range(n + 1)]
     return weights, None if base is None else base**n
 

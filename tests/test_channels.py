@@ -33,7 +33,13 @@ from rrshuffle.channels import (
     verify_dp_adjacent,
     verify_ldp,
 )
-from rrshuffle.combinatorics import epsilon_to_p, krr_histogram_transition
+from rrshuffle.combinatorics import (
+    epsilon_to_p,
+    krr_histogram_transition,
+    match_weights,
+    record_weights,
+    transition_sum,
+)
 from rrshuffle.scalars import FLOAT_TOL
 from rrshuffle.vulnerability import (
     GainFunction,
@@ -80,6 +86,29 @@ def test_krr_single_user_k3():
 def test_krr_cap():
     with pytest.raises(CapExceededError, match="cap"):
         build_krr(30, 2, P, cap=2**10)
+
+
+@pytest.mark.parametrize("n, k, p", [
+    (3, 3, Fraction(3, 5)), (4, 2, Fraction(3, 4)), (2, 4, Fraction(1, 4)),
+    (3, 3, Fraction(35, 64)), (2, 3, Fraction(1)), (1, 5, Fraction(7, 10)),
+])
+def test_match_weights_share_no_factor_with_their_denominator(n, k, p):
+    # keep, move and base = 6, 2 and 10 at k = 3, p = 3/5 share a 2
+    weights, den = match_weights(n, k, p)
+    assert math.gcd(den, *weights) == 1
+    keep, move, base = record_weights(k, p)
+    unreduced = [keep**m * move ** (n - m) for m in range(n + 1)]
+    assert [Fraction(w, den) for w in weights] == [Fraction(w, base**n) for w in unreduced]
+    datasets = enumerate_datasets(n, k)
+    rows = [[Fraction(unreduced[sum(a == b for a, b in zip(x, y))], base**n)
+             for y in datasets] for x in datasets]
+    chan = build_krr(n, k, p)
+    assert chan.den == den
+    assert chan == Channel(chan.row_labels, chan.col_labels, rows)
+    for z_in in enumerate_histograms(n, k):
+        for z_out in enumerate_histograms(n, k):
+            assert krr_histogram_transition(z_in, z_out, p) == Fraction(
+                transition_sum(z_in, z_out, unreduced), base**n)
 
 
 def test_shuffle_full_rows():
@@ -785,10 +814,14 @@ def test_krr_reduced_general_k_matches_full_aggregation(n, k):
             assert krr_histogram_transition(z1, z2, p) == want
 
 
-@pytest.mark.parametrize("n, k", [(6, 3), (4, 4), (3, 5), (10, 2)])
-def test_krr_reduced_equals_transfer_table_reference(n, k):
+@pytest.mark.parametrize("n, k, ps", [
+    (6, 3, None), (4, 4, None), (3, 5, None), (10, 2, None),
+    (12, 3, (Fraction(35, 64), Fraction(3, 5))), (6, 4, (Fraction(35, 64), Fraction(3, 5))),
+])
+def test_krr_reduced_equals_transfer_table_reference(n, k, ps):
+    # ps None: p = 1/k, 3/5 and 1
     hists = enumerate_histograms(n, k)
-    for p in (Fraction(1, k), Fraction(3, 5), Fraction(1)):
+    for p in ps or (Fraction(1, k), Fraction(3, 5), Fraction(1)):
         chan = build_krr_reduced(n, k, p)
         assert chan.rows == tuple(
             tuple(krr_histogram_transition(z1, z2, p) for z2 in hists) for z1 in hists)

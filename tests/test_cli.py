@@ -1,13 +1,17 @@
 import contextlib
 import io
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rrshuffle import cli, closed_forms
+from rrshuffle import checks, cli, closed_forms
 from rrshuffle.cli import main
 from rrshuffle.closed_forms import posterior_for
 from rrshuffle.scalars import FLOAT_TOL, parse_scalar
@@ -102,6 +106,23 @@ def test_float_oracle_accepts_p_at_one_over_k(capsys, k, flags):
 def test_closed_sum_and_oracle_print_one_value(capsys, k, n, mech):
     lines = set()
     for method in ("closed", "sum", "oracle"):
+        code, out, err = run(capsys, "vuln", "--mech", *mech, "--k", str(k), "--n", str(n),
+                             "--exact", "--method", method)
+        assert (code, err) == (0, "")
+        lines.add(record(out)["posterior_v"])
+    assert len(lines) == 1
+
+
+@pytest.mark.parametrize("k, n, mech", [
+    (2, 3000, ("shuffle",)),  # against the binary mode form
+    (2, 3000, ("krr-shuffle", "--p", "4/5")),
+    (5, 200, ("krr-shuffle", "--p", "3/5")),  # against the recursion
+    (3, 1001, ("shuffle",)),  # against the recursion and the one-bin tails
+    (4, 200, ("shuffle",)),
+])
+def test_partition_sum_prints_the_closed_exact_value(capsys, k, n, mech):
+    lines = set()
+    for method in ("closed", "sum"):
         code, out, err = run(capsys, "vuln", "--mech", *mech, "--k", str(k), "--n", str(n),
                              "--exact", "--method", method)
         assert (code, err) == (0, "")
@@ -295,20 +316,30 @@ def test_sweep_of_shuffle_alone_rejects_p_and_epsilon(capsys, flags):
 @pytest.mark.parametrize("method", ["closed", "sum", "approx"])
 @pytest.mark.parametrize("k", [2, 3, 5])
 def test_sweep_rows_equal_posterior_for_at_each_point(capsys, k, method, exact):
-    # n crosses 64, where a float sweep's shuffle value turns from exact to binary64
+    # n crosses 64, where a float sweep's shuffle value turns from exact to
+    # binary64; at k > 2 and n = 60, 65 and 70 a closed or partition-sum row of
+    # shuffling, alone or after noise at p = 3/5, is what the vuln command prints
     mechs = ["shuffle", "krr-shuffle"] + (["krr"] if method != "approx" else [])
-    argv = ["sweep", "--k", str(k), "--n-start", "60", "--n-end", "70", "--n-step", "2",
+    exact_flag = ["--exact"] if exact else []
+    argv = ["sweep", "--k", str(k), "--n-start", "60", "--n-end", "70",
             "--method", method, "--p", "0.6", "--p", "3/4", "--p", "0.9"]
     for mech in mechs:
         argv += ["--mech", mech]
-    code, out, _ = run(capsys, *argv, *(["--exact"] if exact else []))
+    code, out, _ = run(capsys, *argv, *exact_flag)
     assert code == 0
     rows = [line.split(",") for line in out.splitlines()[1:]]
-    assert len(rows) == 6 * (1 + 3 * (len(mechs) - 1))
-    for mech, n, _, p, _, value in rows:
-        p = parse_scalar(p, exact) if p else None
+    assert len(rows) == 11 * (1 + 3 * (len(mechs) - 1))
+    for mech, n, _, p_text, _, value in rows:
+        p = parse_scalar(p_text, exact) if p_text else None
         expected = posterior_for(mech, int(n), k, p, method, exact or None)
         assert value == cli._fmt(expected, exact), (mech, n, p)
+        if (k > 2 and method != "approx" and mech != "krr" and p_text in ("", "0.6")
+                and int(n) % 5 == 0):
+            flags = ["--p", "3/5"] if p_text else []
+            code, out, _ = run(capsys, "vuln", "--mech", mech, "--k", str(k), "--n", n,
+                               *flags, "--method", method, *exact_flag)
+            assert code == 0
+            assert record(out)["posterior_v"] == value, (mech, n)
 
 
 @pytest.mark.parametrize("p", ["33/64", "3/5", "1"])
@@ -458,6 +489,26 @@ def test_channel_full_cascades_agree(capsys):
     assert out_ns == out_sn
 
 
+KINDS = ["krr", "krr-reduced", "shuffle", "shuffle-reduced", "ns", "sn", "ns-reduced"]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_float_channel_dump_is_the_exact_dump_within_1e_9(capsys, kind):
+    flags = [] if kind.startswith("shuffle") else ["--p", "35/64"]
+    dumps = []
+    for exact in ([], ["--exact"]):
+        code, out, err = run(capsys, "channel", "--kind", kind, "--k", "3", "--n", "4",
+                             *flags, *exact)
+        assert (code, err) == (0, "")
+        dumps.append([line.split(",") for line in out.splitlines()])
+    floating, exact = dumps
+    assert floating[0] == exact[0]
+    assert [row[0] for row in floating] == [row[0] for row in exact]
+    for frow, erow in zip(floating[1:], exact[1:]):
+        assert len(frow) == len(erow)
+        assert all(abs(Fraction(f) - Fraction(e)) <= 1e-9 for f, e in zip(frow[1:], erow[1:]))
+
+
 def test_channel_requires_p(capsys):
     code, _, err = run(capsys, "channel", "--kind", "krr", "--n", "2")
     assert code == 1
@@ -495,23 +546,20 @@ def test_channel_cap_exit_code(capsys):
 # ---------------------------------------------------------------------------
 
 
-def test_check_commute_passes(capsys):
-    code, out, _ = run(capsys, "check", "--suite", "commute", "--max-n", "3")
-    assert code == 0
-    assert "PASS" in out
-    assert "FAIL" not in out
-    assert "reduced shuffle into full noise is rejected" in out
-
-
-def test_check_fastform(capsys):
-    code, out, _ = run(capsys, "check", "--suite", "fastform", "--max-n", "32")
-    assert code == 0
-    assert out.strip().splitlines()[-1].endswith("0 failed")
-
-
-def test_check_brown(capsys):
-    code, out, _ = run(capsys, "check", "--suite", "brown", "--max-n", "8")
-    assert code == 0
+@pytest.mark.parametrize("suite, max_n", [
+    *((suite, None) for suite in sorted(checks.SUITES)),  # each suite's own default
+    ("fastform", "400"),  # the single-binomial forms against the sums up to n = 400
+    ("commute", "3"), ("fastform", "32"), ("brown", "8"),
+])
+def test_check_suite_passes(capsys, suite, max_n):
+    code, out, err = run(capsys, "check", "--suite", suite,
+                         *(() if max_n is None else ("--max-n", max_n)))
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert all(line.startswith("PASS ") for line in lines[:-1])
+    assert lines[-1] == "%d checks, 0 failed" % (len(lines) - 1)
+    if suite == "commute":
+        assert "PASS reduced shuffle into full noise is rejected" in lines
 
 
 @pytest.mark.parametrize("suite, max_n", [("oracle", "0"), ("fastform", "-5"),
@@ -625,8 +673,7 @@ FLAG_VALUES = {
     "--epsilon": (["0", "1", "2.5"], ["-1", "inf", "nan", "1000", "1e308", "1e999", "x"]),
     "--mech": (["krr", "shuffle", "krr-shuffle"], ["laplace"]),
     "--method": (["closed", "sum", "oracle", "approx"], ["magic"]),
-    "--kind": (["krr", "krr-reduced", "shuffle", "shuffle-reduced", "ns", "sn",
-                "ns-reduced"], ["rr"]),
+    "--kind": (KINDS, ["rr"]),
     "--suite": (["equivalence", "commute", "oracle", "brown", "fastform", "dpi"],
                 ["nonsense"]),
 }
@@ -665,7 +712,7 @@ def argvs(draw):
             good, bad = FLAG_VALUES[flag]
             argv.append(draw(st.sampled_from(good if draw(st.integers(0, 3)) else bad)))
     if command == "check" and "--max-n" not in flags:
-        argv += ["--max-n", "1"]  # the default max-n runs for tens of seconds
+        argv += ["--max-n", "1"]  # a suite's default max-n takes up to 0.34 s
     return argv
 
 
@@ -678,3 +725,19 @@ def test_no_argv_raises(argv):
     assert code in (0, 1, 2, 3)
     if code:
         assert err.getvalue().startswith("error:")
+
+
+def test_the_cli_runs_as_a_process(capsys):
+    argv = ["vuln", "--mech", "krr-shuffle", "--k", "3", "--n", "5", "--p", "3/5"]
+    _, want, _ = run(capsys, *argv)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    for args, code in ((argv, 0), (["vuln", "--mech", "krr", "--n", "x"], 1)):
+        done = subprocess.run([sys.executable, "-m", "rrshuffle.cli", *args], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == code, done.stderr
+        if code:
+            assert done.stdout == ""
+            assert done.stderr.startswith("error:") and done.stderr.count("\n") == 1
+        else:
+            assert (done.stdout, done.stderr) == (want, "")
