@@ -34,26 +34,21 @@ from .closed_forms import (
     posterior_for,
     posterior_sweep,
     scaled_max_load,
-    scaled_max_load_via_multinomials,
     v_approx_ns,
     v_approx_shuffle,
     v_post_krr,
     v_post_ns_binary_fast,
     v_post_ns_binary_sum,
     v_post_ns_general,
-    v_post_shuffle_binary_fast,
-    v_post_shuffle_binary_sum,
     v_post_shuffle_general,
 )
 from .combinatorics import (
     binomial,
     epsilon_to_p,
     krr_histogram_transition,
-    log_multinomial,
     multinomial,
     p_to_epsilon,
     partition_terms,
-    partitions,
 )
 from .oracle import ORACLE_CAP, oracle_histogram_transition, oracle_posterior
 from .scalars import FLOAT_TOL, Scalar

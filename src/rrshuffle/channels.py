@@ -53,6 +53,7 @@ from .scalars import (
     Scalar,
     all_exact,
     exp_epsilon,
+    format_scalar,
     require_distribution,
     require_mechanism,
     stored_rows,
@@ -245,27 +246,16 @@ class Channel:
     def to_csv(self, exact: bool = False) -> str:
         """CSV dump: header of column labels, one row per secret.
 
-        Entries are decimal strings (the repr of their binary64 value),
-        or exact ``num/den`` fractions when an exact channel is printed
-        with ``exact``; a float channel prints its decimals either way.
-        Each distinct stored value is formatted once, and each row is
-        joined from those texts.  Labels are alphanumeric/colon so no
-        quoting is needed; lines end with LF.
+        Each entry is printed by :func:`~rrshuffle.scalars.format_scalar`:
+        the repr of its binary64 value, or its reduced fraction when an
+        exact channel is printed with ``exact``; a float channel prints
+        its decimals either way.  Each distinct stored value is formatted
+        once, and each row is joined from those texts.  Labels are
+        alphanumeric/colon so no quoting is needed; lines end with LF.
         """
         den = self.den
-        if den is None:
-            fmt = repr
-        elif exact:
-
-            def fmt(v: int) -> str:
-                g = math.gcd(v, den)
-                return "%d" % (v // g) if g == den else "%d/%d" % (v // g, den // g)
-        else:
-
-            def fmt(v: int) -> str:
-                return repr(v / den)
-
-        memo = {v: fmt(v) for v in set().union(*self.num)}
+        memo = {v: format_scalar(v if den is None else Fraction(v, den), exact)
+                for v in set().union(*self.num)}
         lines = ["secret," + ",".join(self.col_labels)]
         for label, row in zip(self.row_labels, self.num):
             lines.append(label + "," + ",".join(map(memo.__getitem__, row)))
@@ -668,17 +658,23 @@ def verify_dp_adjacent(channel: Channel, n: int, k: int, epsilon: float) -> bool
 # ---------------------------------------------------------------------------
 
 
-def _report_weights(epsilon: float, exact: bool):
-    """Truthful and complementary report weights and their denominator:
-    integers over e^eps's numerator plus denominator when ``exact``
-    (e^eps read as the rational its binary64 value denotes), else the
-    two float probabilities and None."""
+def _reporter(n: int, epsilon: float, exact: bool, bit) -> Channel:
+    """2**n x 2 channel over outputs {0, 1} that reports ``bit(x)`` of
+    dataset x with probability e^eps/(1+e^eps) and its complement with
+    1/(1+e^eps): integer weights over e^eps's numerator plus denominator
+    when ``exact`` (e^eps read as the rational its binary64 value
+    denotes), else the two float probabilities."""
+    require_mechanism(n, 2)
     e = exp_epsilon(epsilon)
     if exact:
-        a, b = e.as_integer_ratio()
-        return a, b, a + b
-    q = e / (1 + e)
-    return q, 1 - q, None
+        truth, lie = e.as_integer_ratio()
+        den = truth + lie
+    else:
+        truth = e / (1 + e)
+        lie, den = 1 - truth, None
+    X = enumerate_datasets(n, 2)
+    rows = [(lie, truth) if bit(x) else (truth, lie) for x in X]
+    return Channel._stored(tuple(dataset_label(x, 2) for x in X), ("0", "1"), rows, den)
 
 
 def build_last_record_reporter(n: int, epsilon: float, exact: bool = True) -> Channel:
@@ -687,16 +683,13 @@ def build_last_record_reporter(n: int, epsilon: float, exact: bool = True) -> Ch
 
     A 2**n x 2 channel over outputs {0, 1}.
     """
-    require_mechanism(n, 2)
-    truth, lie, den = _report_weights(epsilon, exact)
-    X = enumerate_datasets(n, 2)
-    rows = [(truth, lie) if x[-1] == 0 else (lie, truth) for x in X]
-    return Channel._stored(tuple(dataset_label(x, 2) for x in X), ("0", "1"), rows, den)
+    return _reporter(n, epsilon, exact, lambda x: x[-1])
 
 
 def build_parity_masked_reporter(n: int, epsilon: float, exact: bool = True) -> Channel:
     """Variant that inverts the report probabilities whenever the binary
-    sum (parity) of the other records is 1.
+    sum (parity) of the other records is 1, so it reports the parity of
+    all n records.
 
     Equally private as :func:`build_last_record_reporter` against an
     adversary who already knows every other record, yet its output is
@@ -704,13 +697,4 @@ def build_parity_masked_reporter(n: int, epsilon: float, exact: bool = True) -> 
     the parity of the empty record set is 0 and the two mechanisms
     coincide.
     """
-    require_mechanism(n, 2)
-    truth, lie, den = _report_weights(epsilon, exact)
-    X = enumerate_datasets(n, 2)
-    rows = []
-    for x in X:
-        truthful = [truth, lie] if x[-1] == 0 else [lie, truth]
-        if sum(x[:-1]) % 2 == 1:
-            truthful.reverse()
-        rows.append(tuple(truthful))
-    return Channel._stored(tuple(dataset_label(x, 2) for x in X), ("0", "1"), rows, den)
+    return _reporter(n, epsilon, exact, lambda x: sum(x) % 2)

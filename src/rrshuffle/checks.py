@@ -53,61 +53,51 @@ class CheckResult:
     detail: str = ""
 
 
+def _lattice(max_n: int):
+    """For k = 2, 3 and n = 1..max_n: n, k, the full and reduced shuffles,
+    and (p, noise, reduced noise) for each p of ``P_GRID`` at least 1/k."""
+    for k in (2, 3):
+        for n in range(1, max_n + 1):
+            noises = [(p, build_krr(n, k, p), build_krr_reduced(n, k, p))
+                      for p in P_GRID if p >= Fraction(1, k)]
+            yield n, k, build_shuffle_full(n, k), build_shuffle_reduced(n, k), noises
+
+
 def suite_equivalence(max_n: int = 5) -> list[CheckResult]:
     """Leakage equivalences between full and reduced channels."""
     results = []
-    for k in (2, 3):
-        for n in range(1, max_n + 1):
-            s = build_shuffle_full(n, k)
-            sr = build_shuffle_reduced(n, k)
+    for n, k, s, sr, noises in _lattice(max_n):
+        results.append(CheckResult(
+            "shuffle equivalent to reduced shuffle (n=%d, k=%d)" % (n, k),
+            equivalent(s, sr),
+        ))
+        for p, noise, noise_r in noises:
+            at = "(n=%d, k=%d, p=%s)" % (n, k, p)
             results.append(CheckResult(
-                "shuffle equivalent to reduced shuffle (n=%d, k=%d)" % (n, k),
-                equivalent(s, sr),
+                "noise+shuffle equivalent to noise+reduced shuffle " + at,
+                equivalent(cascade(noise, s), cascade(noise, sr)),
             ))
-            for p in P_GRID:
-                if p < Fraction(1, k):
-                    continue
-                noise = build_krr(n, k, p)
-                ns = cascade(noise, s)
-                nsr = cascade(noise, sr)
-                results.append(CheckResult(
-                    "noise+shuffle equivalent to noise+reduced shuffle "
-                    "(n=%d, k=%d, p=%s)" % (n, k, p),
-                    equivalent(ns, nsr),
-                ))
-                sn = cascade(s, noise)
-                srnr = cascade(sr, build_krr_reduced(n, k, p))
-                results.append(CheckResult(
-                    "shuffle+noise equivalent to reduced shuffle+reduced noise "
-                    "(n=%d, k=%d, p=%s)" % (n, k, p),
-                    equivalent(sn, srnr),
-                ))
+            results.append(CheckResult(
+                "shuffle+noise equivalent to reduced shuffle+reduced noise " + at,
+                equivalent(cascade(s, noise), cascade(sr, noise_r)),
+            ))
     return results
 
 
 def suite_commute(max_n: int = 5) -> list[CheckResult]:
     """Order-independence of noise and shuffling."""
     results = []
-    for k in (2, 3):
-        for n in range(1, max_n + 1):
-            s = build_shuffle_full(n, k)
-            sr = build_shuffle_reduced(n, k)
-            for p in P_GRID:
-                if p < Fraction(1, k):
-                    continue
-                noise = build_krr(n, k, p)
-                results.append(CheckResult(
-                    "noise+shuffle equivalent to shuffle+noise (n=%d, k=%d, p=%s)"
-                    % (n, k, p),
-                    equivalent(cascade(noise, s), cascade(s, noise)),
-                ))
-                nsr = cascade(noise, sr)
-                srnr = cascade(sr, build_krr_reduced(n, k, p))
-                results.append(CheckResult(
-                    "noise+reduced shuffle equals reduced shuffle+reduced noise "
-                    "entrywise (n=%d, k=%d, p=%s)" % (n, k, p),
-                    nsr == srnr,
-                ))
+    for n, k, s, sr, noises in _lattice(max_n):
+        for p, noise, noise_r in noises:
+            at = "(n=%d, k=%d, p=%s)" % (n, k, p)
+            results.append(CheckResult(
+                "noise+shuffle equivalent to shuffle+noise " + at,
+                equivalent(cascade(noise, s), cascade(s, noise)),
+            ))
+            results.append(CheckResult(
+                "noise+reduced shuffle equals reduced shuffle+reduced noise entrywise " + at,
+                cascade(noise, sr) == cascade(sr, noise_r),
+            ))
     # The reverse reduced order is ill-typed: histograms cannot feed the
     # dataset-indexed noise channel.
     try:
@@ -145,11 +135,17 @@ def abo_transition_sum(scenario: AboScenario) -> Fraction:
     return Fraction(total, 2 * den)
 
 
+def _match_oracle(what: str, forms: dict, truth, at: str) -> list[CheckResult]:
+    """One "matches oracle" line per labelled value of ``forms``."""
+    return [CheckResult("%s %s matches oracle %s" % (what, label, at), value == truth,
+                        "%s != %s" % (value, truth))
+            for label, value in forms.items()]
+
+
 def suite_oracle(max_n: int = 8) -> list[CheckResult]:
     """Exact agreement of every closed form with brute force."""
     results = []
     for n, k in _oracle_grid(max_n):
-        truth_s = oracle_posterior(n, k, ["shuffle"])
         forms = {
             "bounded-load recursion": cf.v_post_shuffle_general(n, k, exact=True),
             "partition sum": cf.v_post_shuffle_general(
@@ -158,16 +154,11 @@ def suite_oracle(max_n: int = 8) -> list[CheckResult]:
         }
         if k == 2:
             forms["binary fast form"] = cf.v_post_shuffle_binary_fast(n)
-        for label, value in forms.items():
-            results.append(CheckResult(
-                "shuffle %s matches oracle (n=%d, k=%d)" % (label, n, k),
-                value == truth_s,
-                "%s != %s" % (value, truth_s),
-            ))
+        results += _match_oracle("shuffle", forms, oracle_posterior(n, k, ["shuffle"]),
+                                 "(n=%d, k=%d)" % (n, k))
         for p in P_GRID_ORACLE:
             if p < Fraction(1, k):
                 continue
-            truth_ns = oracle_posterior(n, k, ["krr", "shuffle"], p)
             forms = {
                 "linear relation": cf.v_post_ns_general(n, k, p, exact=True),
                 "partition sum": cf.v_post_ns_general(
@@ -176,13 +167,9 @@ def suite_oracle(max_n: int = 8) -> list[CheckResult]:
             }
             if k == 2:
                 forms["binary fast form"] = cf.v_post_ns_binary_fast(n, p)
-            for label, value in forms.items():
-                results.append(CheckResult(
-                    "noise+shuffle %s matches oracle (n=%d, k=%d, p=%s)"
-                    % (label, n, k, p),
-                    value == truth_ns,
-                    "%s != %s" % (value, truth_ns),
-                ))
+            results += _match_oracle("noise+shuffle", forms,
+                                     oracle_posterior(n, k, ["krr", "shuffle"], p),
+                                     "(n=%d, k=%d, p=%s)" % (n, k, p))
             if k == 2:
                 scenarios = [AboScenario(n, p, a) for a in range(n)]
                 bad = [s.known_a for s in scenarios
@@ -241,7 +228,8 @@ def suite_fastform(max_n: int = 64) -> list[CheckResult]:
 
 
 def random_prior_gain(rng: random.Random, labels: tuple[str, ...], k: int):
-    """A random rational prior and gain function over the given secrets."""
+    """A random rational prior and an integer gain function (gains 0 to 4)
+    over the given secrets."""
     weights = [rng.randint(0, 9) for _ in labels]
     if sum(weights) == 0:
         weights[rng.randrange(len(weights))] = 1
@@ -249,7 +237,7 @@ def random_prior_gain(rng: random.Random, labels: tuple[str, ...], k: int):
     prior = Prior(labels, tuple(Fraction(w, total) for w in weights))
     n_actions = rng.randint(2, k + 1)
     gains = tuple(
-        tuple(Fraction(rng.randint(0, 4), 4) for _ in labels)
+        tuple(rng.randint(0, 4) for _ in labels)
         for _ in range(n_actions)
     )
     gain = GainFunction(tuple("w%d" % i for i in range(n_actions)), labels, gains)

@@ -27,7 +27,7 @@ from .channels import (
     cascade,
 )
 from .combinatorics import epsilon_to_p, p_to_epsilon
-from .scalars import Scalar, is_exact, parse_scalar
+from .scalars import format_scalar, is_exact, parse_scalar
 from .vulnerability import AboScenario, abo_posterior
 
 
@@ -116,22 +116,25 @@ def build_parser() -> Parser:
     return parser
 
 
-def _resolve_p(args, k: int, single: bool = False) -> list:
-    """The values of --p or --epsilon as probabilities, in order; with
-    ``single``, a second value is a usage error."""
+def _resolve_p(args, k: int, what: str, uses_p: bool, single: bool = False) -> list:
+    """The values of --p or --epsilon as probabilities, in order, for
+    ``what`` (the mechanism, kind or command the messages name).  Each
+    breach of the p rules is a usage error: a value where ``uses_p`` is
+    unset (the value does not depend on p), no value where it is set,
+    and with ``single`` a second value."""
+    if not uses_p:
+        if args.p or args.epsilon:
+            raise UsageError("--p and --epsilon do not apply to %s" % what)
+        return []
     if args.p:
         ps = [parse_scalar(text, args.exact) for text in args.p]
     else:
         ps = [epsilon_to_p(e, k, args.exact) for e in args.epsilon or ()]
+    if not ps:
+        raise UsageError("--p or --epsilon is required for %s" % what)
     if single and len(ps) > 1:
         raise UsageError("a single p is required unless sweeping")
     return ps
-
-
-def _fmt(value: Scalar, exact: bool) -> str:
-    if exact and is_exact(value):
-        return str(value)
-    return repr(float(value))
 
 
 def _write(text: str, path):
@@ -146,23 +149,19 @@ def _write(text: str, path):
 
 
 def cmd_vuln(args) -> int:
-    if args.mech == "shuffle" and (args.p is not None or args.epsilon is not None):
-        raise UsageError("--p and --epsilon do not apply to mechanism 'shuffle'")
-    ps = _resolve_p(args, args.k, single=True)
+    ps = _resolve_p(args, args.k, "mechanism %r" % args.mech, args.mech != "shuffle",
+                    single=True)
     p = ps[0] if ps else None
-    if args.mech != "shuffle" and p is None:
-        raise UsageError("--p or --epsilon is required for mechanism %r" % args.mech)
     posterior = cf.posterior_for(args.mech, args.n, args.k, p, args.method,
                                  args.exact or None)
     prior = Fraction(1, args.k) if args.exact else 1.0 / args.k
-    if args.exact and is_exact(posterior):
-        mult, add = posterior * args.k, posterior - prior
-    else:
-        mult, add = float(posterior) * args.k, float(posterior) - 1.0 / args.k
+    if not (args.exact and is_exact(posterior)):
+        posterior = float(posterior)
+    mult, add = posterior * args.k, posterior - prior
     if p is None:
         p_text = eps_text = "-"
     else:
-        p_text = _fmt(p, args.exact)
+        p_text = format_scalar(p, args.exact)
         eps_text = repr(args.epsilon[0]) if args.epsilon else (
             "inf" if p == 1 else repr(p_to_epsilon(p, args.k)))
     lines = [
@@ -172,10 +171,10 @@ def cmd_vuln(args) -> int:
         "p: %s" % p_text,
         "epsilon: %s" % eps_text,
         "method: %s" % args.method,
-        "prior_v: %s" % _fmt(prior, args.exact),
-        "posterior_v: %s" % _fmt(posterior, args.exact),
-        "mult_leakage: %s" % _fmt(mult, args.exact),
-        "add_leakage: %s" % _fmt(add, args.exact),
+        "prior_v: %s" % format_scalar(prior, args.exact),
+        "posterior_v: %s" % format_scalar(posterior, args.exact),
+        "mult_leakage: %s" % format_scalar(mult, args.exact),
+        "add_leakage: %s" % format_scalar(add, args.exact),
     ]
     _write("\n".join(lines) + "\n", args.out)
     if args.method == "approx":
@@ -188,17 +187,15 @@ def cmd_sweep(args) -> int:
         raise UsageError("--n-step must be positive")
     if args.n_start > args.n_end:
         raise UsageError("--n-start must not exceed --n-end")
-    mechs = sorted(set(args.mech))
-    if mechs == ["shuffle"] and (args.p is not None or args.epsilon is not None):
-        raise UsageError("--p and --epsilon do not apply to mechanism 'shuffle'")
-    p_list = sorted(set(_resolve_p(args, args.k)))  # each distinct p once
-    if mechs != ["shuffle"] and not p_list:
-        raise UsageError("--p or --epsilon is required unless only shuffling is swept")
+    mechs = sorted(set(args.mech))  # 'shuffle', which takes no p, sorts last
+    p_list = sorted(set(_resolve_p(args, args.k, "mechanism %r" % mechs[0],
+                                   mechs != ["shuffle"])))  # each distinct p once
     ns = range(args.n_start, args.n_end + 1, args.n_step)
     lines = ["mechanism,n,k,p,method,posterior_v"]
     lines += [
-        "%s,%d,%d,%s,%s,%s" % (mech, n, args.k, "" if p is None else repr(float(p)),
-                               args.method, _fmt(v, args.exact))
+        "%s,%d,%d,%s,%s,%s" % (mech, n, args.k,
+                               "" if p is None else format_scalar(p, False),
+                               args.method, format_scalar(v, args.exact))
         for mech, n, p, v in cf.posterior_sweep(mechs, ns, args.k, p_list, args.method,
                                                 args.exact or None)
     ]
@@ -220,17 +217,15 @@ def _warn_outside_regime(ns, k: int):
 
 
 def cmd_abo(args) -> int:
-    p_list = _resolve_p(args, 2, single=args.known_a is not None)
-    if not p_list:
-        raise UsageError("--p or --epsilon is required")
+    p_list = _resolve_p(args, 2, "abo", True, single=args.known_a is not None)
     if args.known_a is not None:
         scenario = AboScenario(args.n, p_list[0], args.known_a)
         value = abo_posterior(scenario)
         lines = [
             "n: %d" % args.n,
-            "p: %s" % _fmt(p_list[0], args.exact),
+            "p: %s" % format_scalar(p_list[0], args.exact),
             "known_a: %d" % args.known_a,
-            "abo_posterior_v: %s" % _fmt(value, args.exact),
+            "abo_posterior_v: %s" % format_scalar(value, args.exact),
         ]
         _write("\n".join(lines) + "\n", args.out)
         return 0
@@ -241,7 +236,8 @@ def cmd_abo(args) -> int:
         for known_a in range(args.n):
             value = abo_posterior(AboScenario(args.n, p, known_a))
             lines.append("%s,%s,%s" % (
-                repr(known_a / (args.n - 1)), repr(float(p)), _fmt(value, args.exact),
+                repr(known_a / (args.n - 1)), format_scalar(p, False),
+                format_scalar(value, args.exact),
             ))
     _write("\n".join(lines) + "\n", args.out)
     return 0
@@ -251,13 +247,9 @@ def cmd_channel(args) -> int:
     if args.cap < 1:
         raise UsageError("--cap must be at least 1")
     kind = args.kind
-    ps = _resolve_p(args, args.k, single=True)
+    ps = _resolve_p(args, args.k, "kind %r" % kind, not kind.startswith("shuffle"),
+                    single=True)
     p = ps[0] if ps else None
-    if kind.startswith("shuffle"):
-        if p is not None:
-            raise UsageError("--p and --epsilon do not apply to kind %r" % kind)
-    elif p is None:
-        raise UsageError("--p or --epsilon is required for kind %r" % kind)
     n, k, cap = args.n, args.k, args.cap
     if kind == "krr":
         chan = build_krr(n, k, p, cap)
@@ -298,16 +290,13 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
     except CapExceededError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except OverflowError as exc:
         print("error: binary64 overflow (%s); rerun with --exact" % exc, file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

@@ -60,13 +60,15 @@ def v_post_krr(p: Scalar, k: int) -> Scalar:
 
 def v_post_shuffle_binary_sum(n: int) -> Fraction:
     """Shuffle alone, binary, by direct summation over histograms:
-    noise then shuffle at p = 1."""
+    noise then shuffle at p = 1.  Not exported by the package; kept by
+    name for the ``fastform`` suite and ``bench/make_refs.py``."""
     return v_post_ns_binary_sum(n, 1)
 
 
 def v_post_shuffle_binary_fast(n: int) -> Fraction:
     """Shuffle alone, binary, single-binomial form:
-    noise then shuffle at p = 1."""
+    noise then shuffle at p = 1.  Not exported by the package; kept by
+    name for the check suites and ``bench/make_refs.py``."""
     return v_post_ns_binary_fast(n, 1)
 
 
@@ -444,7 +446,8 @@ def scaled_max_load_via_multinomials(n: int, k: int) -> int:
     k parts.  The coefficients come from
     :func:`~rrshuffle.combinatorics.partition_terms`, one recursion that
     builds each as it goes, so no partition object or multinomial call is
-    made per term."""
+    made per term.  Not exported by the package; kept by name for the
+    ``brown`` suite and the benchmark's tracer (``bench/spans.py``)."""
     require_mechanism(n)
     if k < 1:
         raise ValueError("k must be at least 1")

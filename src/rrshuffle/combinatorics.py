@@ -10,6 +10,7 @@ themselves as plain tuples, the literal enumeration it is tested against.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -44,7 +45,8 @@ def multinomial(n: int, parts: Sequence[int]) -> int:
 
 
 def log_multinomial(n: int, parts: Sequence[int]) -> float:
-    """Natural log of the multinomial coefficient, via lgamma."""
+    """Natural log of the multinomial coefficient, via lgamma.  Not
+    exported; kept by name for the tracer in ``bench/spans.py``."""
     if any(p < 0 for p in parts):
         raise ValueError("parts must be non-negative")
     if sum(parts) != n:
@@ -54,20 +56,11 @@ def log_multinomial(n: int, parts: Sequence[int]) -> float:
 
 def enumerate_histograms(n: int, k: int) -> list[tuple[int, ...]]:
     """All length-k count vectors summing to n (the compositions of n into
-    k non-negative parts), in lexicographic order."""
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix: list[int], remaining: int):
-        if len(prefix) == k - 1:
-            out.append(tuple(prefix) + (remaining,))
-            return
-        for c in range(remaining + 1):
-            prefix.append(c)
-            rec(prefix, remaining - c)
-            prefix.pop()
-
-    rec([], n)
-    return out
+    k non-negative parts), in lexicographic order: stars and bars, the
+    parts being the gaps between k - 1 bars placed among n + k - 1 slots."""
+    slots = n + k - 1
+    return [tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (slots,)))
+            for bars in itertools.combinations(range(slots), k - 1)]
 
 
 def partitions(n: int, max_parts: int) -> Iterator[tuple[int, ...]]:
@@ -77,6 +70,8 @@ def partitions(n: int, max_parts: int) -> Iterator[tuple[int, ...]]:
     parts, in decreasing lexicographic order, e.g. (6, 3) gives (6,),
     (5, 1), (4, 2), (4, 1, 1), (3, 3), (3, 2, 1), (2, 2, 2).  n = 0 yields
     the single empty partition.
+    Not exported; kept by name for the tests of :func:`partition_terms`
+    and the tracer in ``bench/spans.py``.
     """
     if n < 0:
         raise ValueError("n must be non-negative")

@@ -20,7 +20,8 @@ the mode of a table is read from how it is stored.
 The input rules live here too, one function each: :func:`require_mechanism`
 for n, k and p, :func:`require_distribution` for a probability vector (a
 channel row, a prior, the outer probabilities of a canonical form), and
-:func:`exp_epsilon` for a privacy parameter epsilon.
+:func:`exp_epsilon` for a privacy parameter epsilon, and the one printer
+of a scalar, :func:`format_scalar`.
 """
 
 from __future__ import annotations
@@ -152,3 +153,13 @@ def parse_scalar(text: str, exact: bool) -> Scalar:
         return float(text)
     except ZeroDivisionError:
         raise ValueError("zero denominator in %r" % (text,)) from None
+
+
+def format_scalar(value: Scalar, exact: bool) -> str:
+    """The text of a value in CLI output and CSV dumps: an exact value
+    printed with ``exact`` is its reduced fraction ("3/4", or "1" for an
+    integer); anything else is the repr of its correctly rounded binary64
+    value."""
+    if exact and is_exact(value):
+        return str(value)
+    return repr(float(value))

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from rrshuffle import checks, cli, closed_forms
 from rrshuffle.cli import main
 from rrshuffle.closed_forms import posterior_for
-from rrshuffle.scalars import FLOAT_TOL, parse_scalar
+from rrshuffle.scalars import FLOAT_TOL, format_scalar, parse_scalar
 
 
 def run(capsys, *argv):
@@ -332,7 +332,7 @@ def test_sweep_rows_equal_posterior_for_at_each_point(capsys, k, method, exact):
     for mech, n, _, p_text, _, value in rows:
         p = parse_scalar(p_text, exact) if p_text else None
         expected = posterior_for(mech, int(n), k, p, method, exact or None)
-        assert value == cli._fmt(expected, exact), (mech, n, p)
+        assert value == format_scalar(expected, exact), (mech, n, p)
         if (k > 2 and method != "approx" and mech != "krr" and p_text in ("", "0.6")
                 and int(n) % 5 == 0):
             flags = ["--p", "3/5"] if p_text else []
@@ -512,6 +512,22 @@ def test_float_channel_dump_is_the_exact_dump_within_1e_9(capsys, kind):
 def test_channel_requires_p(capsys):
     code, _, err = run(capsys, "channel", "--kind", "krr", "--n", "2")
     assert code == 1
+    assert err == "error: --p or --epsilon is required for kind 'krr'\n"
+
+
+@pytest.mark.parametrize("argv, what", [
+    (["vuln", "--mech", "krr-shuffle", "--n", "3"], "mechanism 'krr-shuffle'"),
+    (["sweep", "--mech", "shuffle", "--mech", "krr", "--n-start", "1", "--n-end", "2"],
+     "mechanism 'krr'"),
+    (["sweep", "--mech", "krr-shuffle", "--n-start", "1", "--n-end", "2"],
+     "mechanism 'krr-shuffle'"),
+    (["abo", "--n", "5", "--known-a", "2"], "abo"),
+    (["abo", "--n", "5", "--sweep-known"], "abo"),
+])
+def test_every_command_names_what_needs_p(capsys, argv, what):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == "error: --p or --epsilon is required for %s\n" % what
 
 
 @pytest.mark.parametrize("kind", ["shuffle", "shuffle-reduced"])

@@ -272,11 +272,14 @@ def test_bounded_load_equals_partition_sum_at_larger_sizes():
         )
 
 
-# (70, 10**6): C(k, u) exceeds the float range for u >= 68.
+# (70, 10**6): C(k, u) exceeds the float range for u >= 68.  The relative
+# error is 2e-12 at most, except where k >> n: -7.9e-12 at (150, 5000).
+# Tighten that bound when the float path is mended for k >> n (ROADMAP,
+# the float V_S defects).
 @pytest.mark.parametrize(
     "n,k",
     [(12, 3), (20, 4), (40, 5), (1000, 3), (1501, 3), (3000, 3), (300, 3), (125, 4), (120, 5),
-     (80, 6), (100, 10), (40, 40), (70, 10**6)],
+     (80, 6), (100, 10), (40, 40), (70, 10**6), (100, 100), (100, 1000), (150, 5000)],
 )
 def test_bounded_load_float_close_to_exact(n, k):
     exact = v_post_shuffle_general(n, k, exact=True)
@@ -284,6 +287,7 @@ def test_bounded_load_float_close_to_exact(n, k):
     floating = v_post_shuffle_general(n, k, exact=False)
     assert isinstance(floating, float)
     assert abs(Fraction(floating) - exact) <= 1e-12
+    assert abs(Fraction(floating) / exact - 1) <= (2e-11 if (n, k) == (150, 5000) else 2e-12)
 
 
 @given(st.integers(min_value=1, max_value=300), st.integers(min_value=2, max_value=10))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from rrshuffle.combinatorics import (
     binomial,
+    enumerate_histograms,
     epsilon_to_p,
     krr_histogram_transition,
     log_multinomial,
@@ -100,6 +101,13 @@ def test_binomial_symmetry(n):
 # ---------------------------------------------------------------------------
 # multinomial
 # ---------------------------------------------------------------------------
+
+
+def test_enumerate_histograms_is_every_count_vector_in_lexicographic_order():
+    for n in range(7):
+        for k in range(1, 6):
+            literal = [h for h in itertools.product(range(n + 1), repeat=k) if sum(h) == n]
+            assert enumerate_histograms(n, k) == literal, (n, k)
 
 
 def test_multinomial_examples():
