@@ -88,9 +88,20 @@ def value_name(value: int, k: int) -> str:
 
 
 def dataset_label(x: tuple[int, ...], k: int) -> str:
+    """Label of one dataset: its letters, or ``v%d`` names joined by
+    ``:`` above 26 values; :func:`dataset_labels` labels them all."""
     if k <= len(_LETTERS):
         return "".join(_LETTERS[v] for v in x)
     return ":".join("v%d" % v for v in x)
+
+
+def dataset_labels(n: int, k: int) -> tuple[str, ...]:
+    """The labels of every dataset of n records, in the order of
+    :func:`enumerate_datasets`: one pass over the product of the value
+    names, each joined as :func:`dataset_label` joins it."""
+    sep = "" if k <= len(_LETTERS) else ":"
+    names = [value_name(v, k) for v in range(k)]
+    return tuple(map(sep.join, itertools.product(names, repeat=n)))
 
 
 def histogram_label(counts: tuple[int, ...], k: int) -> str:
@@ -249,16 +260,19 @@ class Channel:
         Each entry is printed by :func:`~rrshuffle.scalars.format_scalar`:
         the repr of its binary64 value, or its reduced fraction when an
         exact channel is printed with ``exact``; a float channel prints
-        its decimals either way.  Each distinct stored value is formatted
-        once, and each row is joined from those texts.  Labels are
-        alphanumeric/colon so no quoting is needed; lines end with LF.
+        its decimals either way.  Each distinct row (equal by value) is
+        joined once, from the texts of its entries, and only the values in
+        those rows are formatted, each once.  Labels are alphanumeric/colon
+        so no quoting is needed; lines end with LF.
         """
         den = self.den
+        distinct: dict[tuple, int] = {}
+        which = [distinct.setdefault(row, len(distinct)) for row in self.num]
         memo = {v: format_scalar(v if den is None else Fraction(v, den), exact)
-                for v in set().union(*self.num)}
+                for v in set().union(*distinct)}
+        texts = [",".join(map(memo.__getitem__, row)) for row in distinct]
         lines = ["secret," + ",".join(self.col_labels)]
-        for label, row in zip(self.row_labels, self.num):
-            lines.append(label + "," + ",".join(map(memo.__getitem__, row)))
+        lines += [label + "," + texts[i] for label, i in zip(self.row_labels, which)]
         return "\n".join(lines) + "\n"
 
 
@@ -290,16 +304,15 @@ def build_krr(n: int, k: int, p: Scalar, cap: int = DEFAULT_CAP) -> Channel:
     """
     require_mechanism(n, k, p)
     _check_cap(n, k, cap)
-    labels = tuple(dataset_label(x, k) for x in enumerate_datasets(n, k))
+    labels = dataset_labels(n, k)
     weights, den = match_weights(n, k, p)
     rows = [tuple(map(weights.__getitem__, counts)) for counts in _match_counts(n, k)]
     return Channel._stored(labels, labels, rows, den)
 
 
-def _classes(n: int, k: int):
-    """Datasets, and for each its histogram."""
-    X = enumerate_datasets(n, k)
-    return X, [histogram_of(x, k) for x in X]
+def _histograms(n: int, k: int) -> list[tuple[int, ...]]:
+    """The histogram of each dataset, in the order of :func:`enumerate_datasets`."""
+    return [histogram_of(x, k) for x in enumerate_datasets(n, k)]
 
 
 def build_shuffle_full(n: int, k: int, cap: int = DEFAULT_CAP) -> Channel:
@@ -310,15 +323,15 @@ def build_shuffle_full(n: int, k: int, cap: int = DEFAULT_CAP) -> Channel:
     """
     require_mechanism(n, k)
     _check_cap(n, k, cap)
-    X, hists = _classes(n, k)
-    labels = tuple(dataset_label(x, k) for x in X)
+    hists = _histograms(n, k)
+    labels = dataset_labels(n, k)
     members: dict[tuple[int, ...], list[int]] = {}
     for j, h in enumerate(hists):
         members.setdefault(h, []).append(j)
     den = math.lcm(*(len(js) for js in members.values()))
     shared = {}  # one row object per histogram class
     for h, js in members.items():
-        row = [0] * len(X)
+        row = [0] * len(hists)
         for j in js:
             row[j] = den // len(js)
         shared[h] = tuple(row)
@@ -329,7 +342,6 @@ def build_shuffle_reduced(n: int, k: int, cap: int = DEFAULT_CAP) -> Channel:
     """Deterministic dataset-to-histogram channel (k**n x #histograms)."""
     require_mechanism(n, k)
     _check_cap(n, k, cap)
-    X, hists = _classes(n, k)
     hist_list = enumerate_histograms(n, k)
     shared = {}  # one row object per histogram class
     for j, h in enumerate(hist_list):
@@ -337,9 +349,9 @@ def build_shuffle_reduced(n: int, k: int, cap: int = DEFAULT_CAP) -> Channel:
         row[j] = 1
         shared[h] = tuple(row)
     return Channel._stored(
-        tuple(dataset_label(x, k) for x in X),
+        dataset_labels(n, k),
         tuple(histogram_label(h, k) for h in hist_list),
-        [shared[h] for h in hists],
+        [shared[h] for h in _histograms(n, k)],
         1,
     )
 
@@ -422,32 +434,44 @@ def cascade(first: Channel, second: Channel) -> Channel:
 def _matmul(A, B, ncols: int, zero) -> list[tuple]:
     """Sparse product A B, its entries starting from ``zero``.
 
-    Equal rows of B (all rows of one shuffle class) are handled once:
-    the entries of a row of A over them are summed first.  Equal rows
-    of A give one shared product row.  It stays apart from
-    ``oracle._times``, which takes k vectors through a matrix by
-    grouping rows on their weights in all k: run that way, every
-    cascade but shuffle then noise was slower (its docstring has the
-    measurements).
+    Each distinct row of B keeps only its nonzero entries.  When the rows
+    of B are all distinct (a noise factor), a row of A is its own list of
+    weights: only its nonzero entries are visited (``itertools.compress``),
+    each scaling its row of B.  When B has equal rows (all rows of one
+    shuffle class), they are grouped in first-appearance order, and the
+    entries of a row of A over each group are added by ``sum`` first; a
+    zero weight is skipped.  Both ways give each entry the same sum of
+    the same products in the same order.  Equal rows of A give one
+    shared product row.  It stays apart from ``oracle._times``, which
+    takes k vectors through a matrix by grouping rows on their weights
+    in all k: run that way, every cascade but shuffle then noise was
+    slower (its docstring has the measurements).
     """
     groups: dict[tuple, list[int]] = {}
     for i, brow in enumerate(B):
         groups.setdefault(brow, []).append(i)
     plan = [
-        (members, [(j, v) for j, v in enumerate(brow) if v])
+        (members, list(itertools.compress(enumerate(brow), brow)))
         for brow, members in groups.items()
     ]
+    distinct = len(plan) == len(B)
+    nonzeros = [nonzero for _, nonzero in plan]
     products: dict[tuple, tuple] = {}
     out = []
     for arow in A:
         product = products.get(arow)
         if product is None:
             acc = [zero] * ncols
-            for members, nonzero in plan:
-                w = sum(map(arow.__getitem__, members))
-                if w:
+            if distinct:
+                for w, nonzero in itertools.compress(zip(arow, nonzeros), arow):
                     for j, v in nonzero:
                         acc[j] += w * v
+            else:
+                for members, nonzero in plan:
+                    w = sum(map(arow.__getitem__, members))
+                    if w:
+                        for j, v in nonzero:
+                            acc[j] += w * v
             product = products[arow] = tuple(acc)
         out.append(product)
     return out
@@ -634,10 +658,9 @@ def verify_dp_adjacent(channel: Channel, n: int, k: int, epsilon: float) -> bool
     e^epsilon (within ``FLOAT_TOL``); ``exp_epsilon`` checks epsilon.
     """
     bound = exp_epsilon(epsilon) + FLOAT_TOL
-    X = enumerate_datasets(n, k)
-    expected = tuple(dataset_label(x, k) for x in X)
-    if channel.row_labels != expected:
+    if channel.row_labels != dataset_labels(n, k):
         raise ValueError("channel rows are not the dataset enumeration for (n, k)")
+    X = enumerate_datasets(n, k)
     index = {x: i for i, x in enumerate(X)}
     for x in X:
         rx = channel.rows[index[x]]
@@ -672,9 +695,8 @@ def _reporter(n: int, epsilon: float, exact: bool, bit) -> Channel:
     else:
         truth = e / (1 + e)
         lie, den = 1 - truth, None
-    X = enumerate_datasets(n, 2)
-    rows = [(lie, truth) if bit(x) else (truth, lie) for x in X]
-    return Channel._stored(tuple(dataset_label(x, 2) for x in X), ("0", "1"), rows, den)
+    rows = [(lie, truth) if bit(x) else (truth, lie) for x in enumerate_datasets(n, 2)]
+    return Channel._stored(dataset_labels(n, 2), ("0", "1"), rows, den)
 
 
 def build_last_record_reporter(n: int, epsilon: float, exact: bool = True) -> Channel:

@@ -90,16 +90,18 @@ def _times(vectors: list[list[int]], rows) -> list[list[int]]:
     class, so a dense noise stage is summed class by class.
 
     It is a second kernel beside ``channels._matmul``, the product behind
-    ``cascade``, which groups the rows of B by value and then, for each
-    row of A, loops in Python over every nonzero of each distinct row of
-    B: taking the block vectors through a dense noise stage that way is
-    slower than the full cascade it would replace.  The converse loses
-    too, so the two stay apart: ``cascade`` through this grouping, with
-    equal columns found first, was 1.3-2.1x slower for noise then
-    shuffle (full and reduced) and for noise after noise at
-    (n, k) = (4, 3) and (5, 3), faster only for shuffle then noise, and
-    ``posterior_vulnerability`` through it was up to 1.45x slower at
-    n = 3, with other float bits.
+    ``cascade``, which loops in Python, for each distinct row of A, over
+    the nonzero entries of the rows of B it weights: the row's own
+    nonzero entries when the rows of B are all distinct, its sums over
+    the groups of equal rows of B otherwise.  Taking the block vectors
+    through a dense noise stage that way is slower than the full cascade
+    it would replace.  The converse loses too, so the two stay apart:
+    ``cascade`` through this grouping, with equal columns found first,
+    was 1.3-2.1x slower for noise then shuffle (full and reduced) and for
+    noise after noise at (n, k) = (4, 3) and (5, 3), faster only for
+    shuffle then noise, and ``posterior_vulnerability`` through it was up
+    to 1.45x slower at n = 3, with other float bits (measured when
+    ``_matmul`` summed over groups of rows of B for every B).
     """
     members: dict[int, tuple] = {}
     for weights, row in zip(zip(*vectors), rows):  # row i's weight in each vector

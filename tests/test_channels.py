@@ -25,6 +25,8 @@ from rrshuffle.channels import (
     build_shuffle_reduced,
     canonicalize,
     cascade,
+    dataset_label,
+    dataset_labels,
     enumerate_datasets,
     enumerate_histograms,
     equivalent,
@@ -715,6 +717,65 @@ def test_exact_cascade_equals_fraction_matrix_product(pair):
     assert product.rows == literal
     assert product == Channel(first.row_labels, second.col_labels, literal)
     assert math.gcd(product.den, *(v for row in product.num for v in row)) == 1
+
+
+def reference_float_cascade(first, second):
+    """The float product in the order ``cascade`` sums it, spelled out:
+    each factor as binary64 (an exact entry correctly rounded), equal
+    rows of ``second`` grouped in first-appearance order, a group's
+    weight the builtin ``sum`` of its members' entries of the row of
+    ``first`` in row order, and each entry adding weight x entry group
+    by group from 0.0, zero weights skipped."""
+
+    def binary64(chan):
+        return chan.num if chan.den is None else [[v / chan.den for v in row]
+                                                  for row in chan.num]
+
+    groups = {}
+    for i, brow in enumerate(binary64(second)):
+        groups.setdefault(tuple(brow), []).append(i)
+    product = []
+    for arow in binary64(first):
+        acc = [0.0] * len(second.col_labels)
+        for brow, members in groups.items():
+            weight = sum(arow[i] for i in members)  # this interpreter's float sum
+            if weight:
+                for j, v in enumerate(brow):
+                    acc[j] += weight * v
+        product.append(acc)
+    return product
+
+
+def assert_float_cascade_bits(first, second):
+    product = cascade(first, second)
+    assert not product.is_exact()
+    assert [list(map(float.hex, row)) for row in product.num] == [
+        list(map(float.hex, row)) for row in reference_float_cascade(first, second)]
+
+
+@pytest.mark.parametrize("n,k", BUILDER_GRID)
+def test_float_cascade_bits_equal_reference_on_builders(n, k):
+    for p in (1 / k, 35 / 64, 1.0):
+        krr, shuffle = build_krr(n, k, p), build_shuffle_full(n, k)
+        for first, second in ((krr, shuffle), (shuffle, krr), (krr, krr),
+                              (krr, build_shuffle_reduced(n, k)),
+                              (build_shuffle_reduced(n, k), build_krr_reduced(n, k, p))):
+            assert_float_cascade_bits(first, second)
+
+
+@given(cascadable_pair())
+@settings(max_examples=200, deadline=None)
+def test_float_cascade_bits_equal_reference(pair):
+    exact_first, exact_second = pair
+    first, second = (Channel(c.row_labels, c.col_labels, [list(map(float, row)) for row in c.rows])
+                     for c in pair)
+    for a, b in ((first, second), (first, exact_second), (exact_first, second)):
+        assert_float_cascade_bits(a, b)
+
+
+@pytest.mark.parametrize("n,k", BUILDER_GRID + [(1, 26), (3, 26), (1, 27), (2, 27)])
+def test_dataset_labels_label_each_dataset(n, k):
+    assert dataset_labels(n, k) == tuple(dataset_label(x, k) for x in enumerate_datasets(n, k))
 
 
 def test_equal_values_by_different_routes_are_equal_with_equal_hashes():
