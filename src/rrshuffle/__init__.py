@@ -14,6 +14,7 @@ from .channels import (
     DEFAULT_CAP,
     build_krr,
     build_krr_reduced,
+    build_krr_shuffle,
     build_last_record_reporter,
     build_parity_masked_reporter,
     build_shuffle_full,

@@ -45,7 +45,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import floordiv, ge, sub, truediv
+from operator import floordiv, ge, mul, sub, truediv
 
 from .combinatorics import enumerate_histograms, match_weights, record_weights
 from .scalars import (
@@ -160,18 +160,20 @@ class Channel:
     def _stored(cls, row_labels, col_labels, num, den) -> "Channel":
         """Channel from its stored form: integer rows over ``den``,
         reduced here, or binary64 rows with ``den`` None, taken as they
-        are.  Rows that are one object stay one object.
+        are.  Rows that are one object stay one object, and are read once.
 
         Nothing is validated: the callers pass rows built from checked
         parameters (the builders), labels and rows taken from validated
         channels (:func:`cascade`), or a pickled channel.
         """
         if den is not None:
-            g = den
+            g, seen = den, set()
             for row in num:
-                g = math.gcd(g, *row)
-                if g == 1:
-                    break
+                if id(row) not in seen:
+                    seen.add(id(row))
+                    g = math.gcd(g, *row)
+                    if g == 1:
+                        break
             if g > 1:
                 den //= g
                 reduced: dict[int, tuple[int, ...]] = {}
@@ -372,30 +374,89 @@ def build_krr_reduced(n: int, k: int, p: Scalar) -> Channel:
     reference for every entry.
     """
     require_mechanism(n, k, p)
+    hists, rows, den, _ = _reduced_noise(n, k, p)
+    labels = tuple(histogram_label(h, k) for h in hists)
+    return Channel._stored(labels, labels, rows, den)
+
+
+def _reduced_noise(n: int, k: int, p: Scalar, by_dataset: bool = False):
+    """(histograms, rows, den, classes) of :func:`build_krr_reduced`: the
+    histograms of n records in the order of :func:`enumerate_histograms`,
+    the integer rows over ``den`` (not reduced) or binary64 rows with
+    ``den`` None, and with ``by_dataset`` the position of each dataset's
+    histogram, in the order of :func:`enumerate_datasets` (else None:
+    there are k**n of them, and :func:`build_krr_reduced` has no cap).
+    Dataset (x, v) has the histogram of x plus e_v, so the positions are
+    carried from one record count to the next with the rows.
+    """
     keep, move, base = record_weights(k, p)
     zero = 0.0 if base is None else 0
-    hists, rows = [(0,) * k], [(1,)]
+    # factors[v]: the report weights of one record of value v
+    factors = [[keep if u == v else move for u in range(k)] for v in range(k)]
+    hists, rows, classes = [(0,) * k], [(1,)], [0]
     for m in range(1, n + 1):
         level = enumerate_histograms(m, k)
         index = {h: j for j, h in enumerate(level)}
         # targets[i][v]: the position at this count of hists[i] + e_v
         targets = [[index[h[:v] + (h[v] + 1,) + h[v + 1:]] for v in range(k)]
                    for h in hists]
-        previous = dict(zip(hists, rows))
+        # source[j]: the row of z - e_v and the factor of v, for z = level[j]
+        # and the first value v that z holds: hists ascend, so the first
+        # previous histogram to reach z is z - e_v for that v
+        source = [None] * len(level)
+        for row, to in zip(rows, targets):
+            for j, factor in zip(to, factors):
+                if source[j] is None:
+                    source[j] = row, factor
         new = []
-        for z in level:
-            v = next(v for v, c in enumerate(z) if c)
-            factor = [move] * k
-            factor[v] = keep
+        for row, factor in source:
             acc = [zero] * len(level)
-            for c, to in zip(previous[z[:v] + (z[v] - 1,) + z[v + 1:]], targets):
+            for c, to in zip(row, targets):
                 if c:
                     for j, f in zip(to, factor):
                         acc[j] += c * f
             new.append(tuple(acc))
+        if by_dataset:
+            classes = [j for c in classes for j in targets[c]]
         hists, rows = level, new
-    labels = tuple(histogram_label(h, k) for h in hists)
-    return Channel._stored(labels, labels, rows, None if base is None else base**n)
+    return hists, rows, None if base is None else base**n, classes if by_dataset else None
+
+
+def build_krr_shuffle(n: int, k: int, p: Scalar, cap: int = DEFAULT_CAP,
+                      reduced: bool = False) -> Channel:
+    """Per-record randomized response, then shuffling (k**n x k**n), or
+    with ``reduced`` the histogram of the noisy dataset
+    (k**n x #histograms).
+
+    The composition sees a dataset only through its histogram, and k-RR
+    commutes with shuffling, so this is also shuffling then noise.  Its
+    entry (x, y) is R[h(x), h(y)] / #h(y), where R is the reduced noise
+    channel of :func:`build_krr_reduced`, built once, and #h(y) the
+    number of datasets with histogram h(y); reduced, it is R[h(x), z].
+    Every dataset of one histogram shares one row object.  Exact rows
+    are R's integers times lcm(#h) / #h(y) over R's denominator times
+    lcm(#h); float rows are R's binary64 entries divided by #h(y).
+    :func:`cascade` of :func:`build_krr` with :func:`build_shuffle_full`
+    (either order) or :func:`build_shuffle_reduced` is the reference.
+    """
+    require_mechanism(n, k, p)
+    _check_cap(n, k, cap)
+    hists, noise, den, classes = _reduced_noise(n, k, p, by_dataset=True)
+    labels = dataset_labels(n, k)
+    if reduced:
+        return Channel._stored(labels, (histogram_label(h, k) for h in hists),
+                               list(map(noise.__getitem__, classes)), den)
+    # #h = n! / (h_0! ... h_{k-1}!) datasets have histogram h
+    counts = [math.factorial(n) // math.prod(map(math.factorial, h)) for h in hists]
+    if den is None:
+        scaled = [list(map(truediv, row, counts)) for row in noise]
+    else:
+        lcm = math.lcm(*counts)
+        den *= lcm
+        scale = [lcm // c for c in counts]
+        scaled = [list(map(mul, row, scale)) for row in noise]
+    shared = [tuple(map(entries.__getitem__, classes)) for entries in scaled]
+    return Channel._stored(labels, labels, list(map(shared.__getitem__, classes)), den)
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,9 @@ from .channels import (
     DEFAULT_CAP,
     build_krr,
     build_krr_reduced,
+    build_krr_shuffle,
     build_shuffle_full,
     build_shuffle_reduced,
-    cascade,
 )
 from .combinatorics import epsilon_to_p, p_to_epsilon
 from .scalars import format_scalar, is_exact, parse_scalar
@@ -259,12 +259,8 @@ def cmd_channel(args) -> int:
         chan = build_shuffle_full(n, k, cap)
     elif kind == "shuffle-reduced":
         chan = build_shuffle_reduced(n, k, cap)
-    elif kind == "ns":
-        chan = cascade(build_krr(n, k, p, cap), build_shuffle_full(n, k, cap))
-    elif kind == "sn":
-        chan = cascade(build_shuffle_full(n, k, cap), build_krr(n, k, p, cap))
-    else:  # ns-reduced
-        chan = cascade(build_krr(n, k, p, cap), build_shuffle_reduced(n, k, cap))
+    else:  # ns, sn (the same channel: k-RR commutes with shuffling) or ns-reduced
+        chan = build_krr_shuffle(n, k, p, cap, reduced=kind == "ns-reduced")
     _write(chan.to_csv(exact=args.exact), args.out)
     return 0
 

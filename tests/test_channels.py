@@ -19,6 +19,7 @@ from rrshuffle.channels import (
     Channel,
     build_krr,
     build_krr_reduced,
+    build_krr_shuffle,
     build_last_record_reporter,
     build_parity_masked_reporter,
     build_shuffle_full,
@@ -529,14 +530,47 @@ def reference_csv(chan, exact=False):
 
 
 def builder_channels(n, k, p):
-    """Every channel the CLI dumps, built at (n, k) with noise p."""
+    """Every channel the CLI dumps, built at (n, k) with noise p, and the
+    cascades the check suites build."""
     krr, shuffle = build_krr(n, k, p), build_shuffle_full(n, k)
     return [krr, build_krr_reduced(n, k, p), shuffle, build_shuffle_reduced(n, k),
+            build_krr_shuffle(n, k, p), build_krr_shuffle(n, k, p, reduced=True),
             cascade(krr, shuffle), cascade(shuffle, krr),
             cascade(krr, build_shuffle_reduced(n, k))]
 
 
 BUILDER_GRID = [(1, 2), (3, 2), (5, 2), (1, 3), (2, 3), (4, 3), (2, 4)]
+
+
+@pytest.mark.parametrize("n,k", BUILDER_GRID + [(5, 3), (4, 4)])
+def test_krr_shuffle_equals_its_cascades(n, k):
+    # noise then shuffle, shuffle then noise and noise then the reduced
+    # shuffle, each the product of two dataset-indexed channels
+    shuffle, reduced_shuffle = build_shuffle_full(n, k), build_shuffle_reduced(n, k)
+    classes = len(enumerate_histograms(n, k))
+    for p in (Fraction(1, k), Fraction(35, 64), Fraction(1)):
+        noise = build_krr(n, k, p)
+        full, reduced = build_krr_shuffle(n, k, p), build_krr_shuffle(n, k, p, reduced=True)
+        for got, want in ((full, cascade(noise, shuffle)), (full, cascade(shuffle, noise)),
+                          (reduced, cascade(noise, reduced_shuffle))):
+            assert got == want
+            assert got.to_csv(exact=True) == want.to_csv(exact=True)
+            assert len({id(row) for row in got.num}) == classes  # one row per histogram
+        for got, want in ((build_krr_shuffle(n, k, float(p)), full),
+                          (build_krr_shuffle(n, k, float(p), reduced=True), reduced)):
+            assert (got.row_labels, got.col_labels) == (want.row_labels, want.col_labels)
+            for frow, erow in zip(got.num, want.rows):
+                assert all(isinstance(f, float) and abs(f - e) <= FLOAT_TOL
+                           for f, e in zip(frow, erow))
+
+
+def test_krr_shuffle_checks_its_parameters_and_the_cap():
+    for reduced in (False, True):
+        with pytest.raises(CapExceededError, match="exceeds the full-channel size cap 8"):
+            build_krr_shuffle(4, 2, P, cap=8, reduced=reduced)
+        build_krr_shuffle(3, 2, P, cap=8, reduced=reduced)
+        with pytest.raises(ValueError, match="p must lie in"):
+            build_krr_shuffle(3, 2, Fraction(1, 3), reduced=reduced)
 
 
 @pytest.mark.parametrize("n,k", BUILDER_GRID)
@@ -655,6 +689,7 @@ def test_builder_float_channels_hold_only_binary64(n, k):
             continue
         krr = build_krr(n, k, p)
         chans = [krr, build_krr_reduced(n, k, p),
+                 build_krr_shuffle(n, k, p), build_krr_shuffle(n, k, p, reduced=True),
                  cascade(krr, build_shuffle_full(n, k)), cascade(build_shuffle_full(n, k), krr),
                  cascade(krr, build_shuffle_reduced(n, k)),
                  cascade(build_shuffle_reduced(n, k), build_krr_reduced(n, k, p))]
@@ -900,6 +935,38 @@ def test_krr_reduced_float_mode_general_k():
     assert not approx.is_exact()
     for erow, frow in zip(exact.rows, approx.rows):
         assert all(abs(e - f) <= 1e-12 for e, f in zip(erow, frow))
+
+
+def reference_float_krr_reduced(n, k, p):
+    """The float rows of the reduced noise channel, spelled out: row z is
+    the row of z - e_v, v the first value z holds, times the weights of
+    one record of value v, summed over the previous histograms in order."""
+    keep, move = p, (1 - p) / (k - 1)
+    hists, rows = [(0,) * k], [(1.0,)]
+    for m in range(1, n + 1):
+        level = enumerate_histograms(m, k)
+        previous = dict(zip(hists, rows))
+        new = []
+        for z in level:
+            v = next(v for v, c in enumerate(z) if c)
+            acc = [0.0] * len(level)
+            for h, c in zip(hists, previous[z[:v] + (z[v] - 1,) + z[v + 1:]]):
+                if c:
+                    for u in range(k):
+                        j = level.index(h[:u] + (h[u] + 1,) + h[u + 1:])
+                        acc[j] += c * (keep if u == v else move)
+            new.append(tuple(acc))
+        hists, rows = level, new
+    return rows
+
+
+@pytest.mark.parametrize("n, k", [(1, 2), (5, 2), (4, 3), (3, 4), (6, 3)])
+def test_krr_reduced_float_bits_equal_reference(n, k):
+    for p in (1 / k, 35 / 64, 0.6, 1.0):
+        got = build_krr_reduced(n, k, p).num
+        want = reference_float_krr_reduced(n, k, p)
+        assert [list(map(float.hex, row)) for row in got] == \
+            [list(map(float.hex, row)) for row in want]
 
 
 # ---------------------------------------------------------------------------

@@ -492,21 +492,30 @@ def test_channel_full_cascades_agree(capsys):
 KINDS = ["krr", "krr-reduced", "shuffle", "shuffle-reduced", "ns", "sn", "ns-reduced"]
 
 
+# The sizes of the benchmark's channel dumps.
+DUMP_SIZES = [(2, n) for n in range(1, 6)] + [(3, n) for n in range(1, 5)]
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_float_channel_dump_is_the_exact_dump_within_1e_9(capsys, kind):
+    # noise and shuffling composed are built from the reduced noise
+    # channel, not as a product: every dump size is checked for them
     flags = [] if kind.startswith("shuffle") else ["--p", "35/64"]
-    dumps = []
-    for exact in ([], ["--exact"]):
-        code, out, err = run(capsys, "channel", "--kind", kind, "--k", "3", "--n", "4",
-                             *flags, *exact)
-        assert (code, err) == (0, "")
-        dumps.append([line.split(",") for line in out.splitlines()])
-    floating, exact = dumps
-    assert floating[0] == exact[0]
-    assert [row[0] for row in floating] == [row[0] for row in exact]
-    for frow, erow in zip(floating[1:], exact[1:]):
-        assert len(frow) == len(erow)
-        assert all(abs(Fraction(f) - Fraction(e)) <= 1e-9 for f, e in zip(frow[1:], erow[1:]))
+    sizes = DUMP_SIZES if kind in ("ns", "sn", "ns-reduced") else [(3, 4)]
+    for k, n in sizes:
+        dumps = []
+        for exact in ([], ["--exact"]):
+            code, out, err = run(capsys, "channel", "--kind", kind, "--k", str(k),
+                                 "--n", str(n), *flags, *exact)
+            assert (code, err) == (0, "")
+            dumps.append([line.split(",") for line in out.splitlines()])
+        floating, exact = dumps
+        assert floating[0] == exact[0]
+        assert [row[0] for row in floating] == [row[0] for row in exact]
+        for frow, erow in zip(floating[1:], exact[1:]):
+            assert len(frow) == len(erow)
+            assert all(abs(Fraction(f) - Fraction(e)) <= 1e-9
+                       for f, e in zip(frow[1:], erow[1:]))
 
 
 def test_channel_requires_p(capsys):
@@ -550,11 +559,13 @@ def test_channel_cap_below_one_is_usage_error(capsys, kind, flags, cap):
     assert err == "error: --cap must be at least 1\n"
 
 
-def test_channel_cap_exit_code(capsys):
-    code, _, err = run(capsys, "channel", "--kind", "krr", "--n", "25", "--k", "2",
+@pytest.mark.parametrize("kind", ["krr", "ns", "sn", "ns-reduced"])
+def test_channel_cap_exit_code(capsys, kind):
+    code, _, err = run(capsys, "channel", "--kind", kind, "--n", "25", "--k", "2",
                        "--p", "0.9", "--cap", "1024")
     assert code == 2
-    assert "cap" in err
+    assert err == ("error: k**n = 33554432 exceeds the full-channel size cap 1024; "
+                   "raise the cap (--cap) to build this channel\n")
 
 
 # ---------------------------------------------------------------------------
