@@ -43,15 +43,9 @@ from .closed_forms import (
     v_post_ns_general,
     v_post_shuffle_general,
 )
-from .combinatorics import (
-    binomial,
-    epsilon_to_p,
-    krr_histogram_transition,
-    multinomial,
-    p_to_epsilon,
-    partition_terms,
-)
-from .oracle import ORACLE_CAP, oracle_histogram_transition, oracle_posterior
+from .combinatorics import binomial, epsilon_to_p, p_to_epsilon, partition_terms
+from .oracle import ORACLE_CAP, oracle_posterior
+from .reference import krr_histogram_transition, multinomial, oracle_histogram_transition
 from .scalars import FLOAT_TOL, Scalar
 from .vulnerability import (
     AboScenario,

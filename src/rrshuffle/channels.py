@@ -262,14 +262,18 @@ class Channel:
         Each entry is printed by :func:`~rrshuffle.scalars.format_scalar`:
         the repr of its binary64 value, or its reduced fraction when an
         exact channel is printed with ``exact``; a float channel prints
-        its decimals either way.  Each distinct row (equal by value) is
+        its decimals either way.  Rows are grouped by object first, so a
+        shared row is hashed once, then by value; each distinct row is
         joined once, from the texts of its entries, and only the values in
         those rows are formatted, each once.  Labels are alphanumeric/colon
         so no quoting is needed; lines end with LF.
         """
         den = self.den
+        ids = list(map(id, self.num))
         distinct: dict[tuple, int] = {}
-        which = [distinct.setdefault(row, len(distinct)) for row in self.num]
+        by_id = {i: distinct.setdefault(row, len(distinct))
+                 for i, row in dict(zip(ids, self.num)).items()}
+        which = list(map(by_id.__getitem__, ids))
         memo = {v: format_scalar(v if den is None else Fraction(v, den), exact)
                 for v in set().union(*distinct)}
         texts = [",".join(map(memo.__getitem__, row)) for row in distinct]
@@ -369,9 +373,9 @@ def build_krr_reduced(n: int, k: int, p: Scalar) -> Channel:
     :func:`~rrshuffle.combinatorics.record_weights`.  The row of z1 is
     the row of z1 - e_v times one such factor, so rows are built one
     record count at a time, keeping only the previous count's rows.  It
-    never touches the k**n datasets.  The sum over transfer tables,
-    :func:`~rrshuffle.combinatorics.krr_histogram_transition`, is the
-    reference for every entry.
+    never touches the k**n datasets.  Its references, in
+    :mod:`rrshuffle.reference`, are the transfer-table sum
+    ``krr_histogram_transition`` and the literal noise then shuffle stage.
     """
     require_mechanism(n, k, p)
     hists, rows, den, _ = _reduced_noise(n, k, p)
@@ -436,8 +440,9 @@ def build_krr_shuffle(n: int, k: int, p: Scalar, cap: int = DEFAULT_CAP,
     Every dataset of one histogram shares one row object.  Exact rows
     are R's integers times lcm(#h) / #h(y) over R's denominator times
     lcm(#h); float rows are R's binary64 entries divided by #h(y).
-    :func:`cascade` of :func:`build_krr` with :func:`build_shuffle_full`
-    (either order) or :func:`build_shuffle_reduced` is the reference.
+    Its reference, full or reduced, is the literal k-RR stage summed over
+    each histogram class, ``literal_shuffled(literal_krr(n, k, p), n, k)``
+    of :mod:`rrshuffle.reference`.
     """
     require_mechanism(n, k, p)
     _check_cap(n, k, cap)

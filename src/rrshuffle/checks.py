@@ -21,8 +21,9 @@ from .channels import (
     cascade,
     equivalent,
 )
-from .combinatorics import match_weights, partition_terms, transition_sum
+from .combinatorics import partition_terms
 from .oracle import ORACLE_CAP, oracle_posterior
+from .reference import abo_transition_sum
 from .vulnerability import (
     AboScenario,
     GainFunction,
@@ -114,25 +115,6 @@ def _oracle_grid(max_n: int):
         for n in range(1, min(max_n, n_cap) + 1):
             if k**n <= ORACLE_CAP:
                 yield n, k
-
-
-def abo_transition_sum(scenario: AboScenario) -> Fraction:
-    """The all-but-one adversary's posterior vulnerability by its
-    definition, the reference for :func:`abo_posterior`: half the sum,
-    over the n + 1 output histograms, of the larger of the two candidate
-    datasets' k-RR transition sums.  Exact; a float p is read as the
-    rational it denotes."""
-    n = scenario.n
-    known_b = n - 1 - scenario.known_a
-    if_a = (scenario.known_a + 1, known_b)  # target holds 'a'
-    if_b = (scenario.known_a, known_b + 1)  # target holds 'b'
-    weights, den = match_weights(n, 2, Fraction(scenario.p))
-    total = 0
-    for a_out in range(n + 1):
-        z_out = (a_out, n - a_out)
-        total += max(transition_sum(if_a, z_out, weights),
-                     transition_sum(if_b, z_out, weights))
-    return Fraction(total, 2 * den)
 
 
 def _match_oracle(what: str, forms: dict, truth, at: str) -> list[CheckResult]:

@@ -33,8 +33,9 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Iterator, Literal, NamedTuple, Optional, Sequence
 
-from .combinatorics import enumerate_histograms, multinomial, partition_terms
+from .combinatorics import partition_terms
 from .oracle import oracle_posterior
+from .reference import max_load_counts  # the composition method, run by bench/make_refs.py
 from .scalars import Scalar, is_exact, require_mechanism
 
 #: Largest n for which the general-k evaluators default to exact rationals.
@@ -323,8 +324,9 @@ def v_post_shuffle_general(
     groups histograms by their partition shape, one term per partition
     (~n^(k-1) of them), its coefficient built by the one recursion of
     :func:`~rrshuffle.combinatorics.partition_terms`; the composition
-    method evaluates the ungrouped sum and is kept to check it.  Exact by
-    default up to n = 64, binary64 above.
+    method evaluates the ungrouped sum of
+    :func:`~rrshuffle.reference.max_load_counts` and is kept to check it.
+    Exact by default up to n = 64, binary64 above.
     """
     require_mechanism(n, k)
     use_exact = _pick_exact(n, exact)
@@ -335,9 +337,7 @@ def v_post_shuffle_general(
             return Fraction(sum(tails), k**n * n)
         return math.fsum(tails) / n
     if method == "composition":
-        total = sum(
-            multinomial(n, comp) * max(comp) for comp in enumerate_histograms(n, k)
-        )
+        total = sum(m * count for m, count in enumerate(max_load_counts(n, k)))
     elif method == "partition":
         total = scaled_max_load_via_multinomials(n, k)
     else:

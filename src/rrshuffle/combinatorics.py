@@ -1,11 +1,11 @@
-"""Exact combinatorial primitives and k-RR histogram transitions.
+"""Exact combinatorial primitives and the k-RR per-record weights.
 
 Counting functions return arbitrary-precision integers, so results such
 as binomial(199, 99) are exact.  :func:`partition_terms` yields what the
 histogram sums need for each partition shape, its coefficient and
 largest part, from one recursion that carries the coefficient with no
-validated multinomial per term; :func:`partitions` yields the shapes
-themselves as plain tuples, the literal enumeration it is tested against.
+validated multinomial per term; its reference, the literal enumeration
+of the partitions, is :func:`~rrshuffle.reference.partitions`.
 """
 
 from __future__ import annotations
@@ -13,8 +13,14 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator
 
+from .reference import (  # kept by name for the tracer in bench/spans.py
+    krr_histogram_transition,
+    log_multinomial,
+    multinomial,
+    partitions,
+)
 from .scalars import Scalar, exp_epsilon, is_exact, require_mechanism
 
 
@@ -27,33 +33,6 @@ def binomial(n: int, i: int) -> int:
     return math.comb(n, i)
 
 
-def multinomial(n: int, parts: Sequence[int]) -> int:
-    """Exact multinomial coefficient n! / (parts[0]! * parts[1]! * ...).
-
-    The parts must be non-negative and sum to n.
-    """
-    if any(p < 0 for p in parts):
-        raise ValueError("parts must be non-negative")
-    if sum(parts) != n:
-        raise ValueError("parts must sum to n")
-    result = 1
-    acc = 0
-    for p in parts:
-        acc += p
-        result *= math.comb(acc, p)
-    return result
-
-
-def log_multinomial(n: int, parts: Sequence[int]) -> float:
-    """Natural log of the multinomial coefficient, via lgamma.  Not
-    exported; kept by name for the tracer in ``bench/spans.py``."""
-    if any(p < 0 for p in parts):
-        raise ValueError("parts must be non-negative")
-    if sum(parts) != n:
-        raise ValueError("parts must sum to n")
-    return math.lgamma(n + 1) - sum(math.lgamma(p + 1) for p in parts)
-
-
 def enumerate_histograms(n: int, k: int) -> list[tuple[int, ...]]:
     """All length-k count vectors summing to n (the compositions of n into
     k non-negative parts), in lexicographic order: stars and bars, the
@@ -63,41 +42,9 @@ def enumerate_histograms(n: int, k: int) -> list[tuple[int, ...]]:
             for bars in itertools.combinations(range(slots), k - 1)]
 
 
-def partitions(n: int, max_parts: int) -> Iterator[tuple[int, ...]]:
-    """All partitions of n into at most ``max_parts`` positive parts.
-
-    Yields each partition exactly once as a non-increasing tuple of its
-    parts, in decreasing lexicographic order, e.g. (6, 3) gives (6,),
-    (5, 1), (4, 2), (4, 1, 1), (3, 3), (3, 2, 1), (2, 2, 2).  n = 0 yields
-    the single empty partition.
-    Not exported; kept by name for the tests of :func:`partition_terms`
-    and the tracer in ``bench/spans.py``.
-    """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if max_parts < 1:
-        raise ValueError("max_parts must be at least 1")
-
-    def rec(remaining: int, bound: int, prefix: list[int]) -> Iterator[tuple[int, ...]]:
-        if remaining == 0:
-            yield tuple(prefix)
-            return
-        if len(prefix) == max_parts:
-            return
-        slots_left = max_parts - len(prefix)
-        for part in range(min(bound, remaining), 0, -1):
-            if part * slots_left < remaining:
-                break
-            prefix.append(part)
-            yield from rec(remaining - part, part, prefix)
-            prefix.pop()
-
-    yield from rec(n, n, [])
-
-
 def partition_terms(n: int, k: int) -> Iterator[tuple[int, int]]:
     """(coefficient, largest part) for each partition of n into at most
-    k parts, in the order of :func:`partitions`.
+    k parts, in the order of :func:`~rrshuffle.reference.partitions`.
 
     The coefficient multinomial(n; parts) * multinomial(k; multiplicities,
     k - length) counts the maps of n labelled records into k labelled
@@ -156,48 +103,6 @@ def partition_terms(n: int, k: int) -> Iterator[tuple[int, int]]:
         choose = choose * top // (rest + 1)
 
 
-def _splits(total: int, room: Sequence[int]) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Each way to split ``total`` into len(room) >= 2 non-negative parts
-    with part j at most room[j], with its multinomial coefficient."""
-    spare = sum(room[1:])
-    for first in range(max(0, total - spare), min(total, room[0]) + 1):
-        ways = math.comb(total, first)
-        if len(room) == 2:
-            yield (first, total - first), ways
-        else:
-            for rest, more in _splits(total - first, room[1:]):
-                yield (first,) + rest, ways * more
-
-
-def transfer_tables(z_in: Sequence[int], z_out: Sequence[int]) -> Iterator[tuple[int, int]]:
-    """(ways, kept) for each k x k table T of non-negative counts with row
-    sums ``z_in`` and column sums ``z_out`` (k >= 2, both summing to n).
-
-    T[i][j] counts the records of value i reported as value j.  ``ways``
-    = prod_i multinomial(z_in[i]; T[i]) is the number of record-level
-    reports the table stands for, and ``kept`` = trace(T) the number of
-    records that kept their value.  Tables come row by row, each row in
-    increasing lexicographic order; the last row is what the column
-    sums leave over.
-    """
-    k = len(z_in)
-
-    def rows(i: int, room: tuple[int, ...]) -> Iterator[tuple[int, int]]:
-        if i == k - 1:
-            ways, left = 1, z_in[i]
-            for c in room:
-                ways *= math.comb(left, c)
-                left -= c
-            yield ways, room[i]
-            return
-        for row, ways in _splits(z_in[i], room):
-            rest = tuple(c - t for c, t in zip(room, row))
-            for more, kept in rows(i + 1, rest):
-                yield ways * more, kept + row[i]
-
-    return rows(0, tuple(z_out))
-
-
 def record_weights(k: int, p: Scalar):
     """(keep, move, base): the probability that one record's k-ary
     randomized response keeps its value, and that it reports one given
@@ -227,41 +132,6 @@ def match_weights(n: int, k: int, p: Scalar):
         keep, move, base = keep // g, move // g, base // g
     weights = [keep**m * move ** (n - m) for m in range(n + 1)]
     return weights, None if base is None else base**n
-
-
-def transition_sum(z_in: Sequence[int], z_out: Sequence[int], weights: Sequence[Scalar]):
-    """Sum of ways * weights[kept] over the transfer tables from ``z_in``
-    to ``z_out``: with the weights of :func:`match_weights`, the k-RR
-    histogram transition probability over their denominator."""
-    return sum(ways * weights[kept] for ways, kept in transfer_tables(z_in, z_out))
-
-
-def krr_histogram_transition(z_in: Sequence[int], z_out: Sequence[int], p: Scalar) -> Scalar:
-    """Probability that per-record k-ary randomized response turns an
-    input with histogram ``z_in`` into an output with histogram ``z_out``
-    (two length-k count vectors).
-
-    Each record independently keeps its value with probability p and
-    moves to each other value with probability (1-p)/(k-1), so a
-    transfer table with ``kept`` records kept stands for ``ways``
-    reports of probability ``match_weights(n, k, p)[kept]`` each.  A
-    ``Fraction`` when p is rational, binary64 otherwise.
-    """
-    k = len(z_in)
-    require_mechanism(k=k, p=p)
-    if len(z_out) != k:
-        raise ValueError("histograms must have the same length")
-    if min(z_in) < 0 or min(z_out) < 0:
-        raise ValueError("histogram counts must be non-negative")
-    n = sum(z_in)
-    if sum(z_out) != n:
-        raise ValueError(
-            "count-sum mismatch: input histogram sums to %d, output to %d"
-            % (n, sum(z_out))
-        )
-    weights, den = match_weights(n, k, p)
-    total = transition_sum(z_in, z_out, weights)
-    return total if den is None else Fraction(total, den)
 
 
 def epsilon_to_p(epsilon: float, k: int, exact: bool = False) -> Scalar:

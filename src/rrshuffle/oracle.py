@@ -1,10 +1,10 @@
 """Brute-force ground truth by literal application of the definitions.
 
-Everything here enumerates the full dataset space and works in exact
-rationals only.  It deliberately shares no code with the formula module:
-the channel builders are reused, but the vulnerability sums are written
-out literally, so the closed forms can be validated against an
-independent computation.  Single-threaded, desk-scale by design.
+:func:`oracle_posterior` enumerates the full dataset space in exact
+rationals and writes the vulnerability sum out literally.  Its stages
+come from the fast builders, so it is certified through the literal
+stages of :mod:`rrshuffle.reference`, which Tier-1 checks those builders
+against entry for entry.  Single-threaded, desk-scale by design.
 """
 
 from __future__ import annotations
@@ -14,16 +14,10 @@ from fractions import Fraction
 from operator import add, mul
 from typing import Sequence
 
-from .channels import (
-    CapExceededError,
-    build_krr,
-    build_shuffle_full,
-    histogram_of,
-)
+from .channels import CapExceededError, build_krr, build_shuffle_full
+from .reference import ORACLE_CAP  # the hard bound on k**n for oracle runs
+from .reference import oracle_histogram_transition  # kept by name for bench/make_refs.py
 from .scalars import Scalar, is_exact
-
-#: Hard bound on k**n for oracle runs.
-ORACLE_CAP = 3**6
 
 
 def _check_oracle_size(n: int, k: int):
@@ -89,19 +83,12 @@ def _times(vectors: list[list[int]], rows) -> list[list[int]]:
     after a shuffle the block vectors are constant on each histogram
     class, so a dense noise stage is summed class by class.
 
-    It is a second kernel beside ``channels._matmul``, the product behind
-    ``cascade``, which loops in Python, for each distinct row of A, over
-    the nonzero entries of the rows of B it weights: the row's own
-    nonzero entries when the rows of B are all distinct, its sums over
-    the groups of equal rows of B otherwise.  Taking the block vectors
-    through a dense noise stage that way is slower than the full cascade
-    it would replace.  The converse loses too, so the two stay apart:
-    ``cascade`` through this grouping, with equal columns found first,
-    was 1.3-2.1x slower for noise then shuffle (full and reduced) and for
-    noise after noise at (n, k) = (4, 3) and (5, 3), faster only for
-    shuffle then noise, and ``posterior_vulnerability`` through it was up
-    to 1.45x slower at n = 3, with other float bits (measured when
-    ``_matmul`` summed over groups of rows of B for every B).
+    It stays a second kernel beside ``channels._matmul``, the product
+    behind ``cascade``, because each loses on the other's work: the block
+    vectors through ``_matmul`` were slower than the full cascade they
+    would replace, and ``cascade`` through this grouping was 1.3-2.1x
+    slower at (n, k) = (4, 3) and (5, 3) in every stage order but
+    shuffle then noise.
     """
     members: dict[int, tuple] = {}
     for weights, row in zip(zip(*vectors), rows):  # row i's weight in each vector
@@ -121,30 +108,3 @@ def _times(vectors: list[list[int]], rows) -> list[list[int]]:
                 acc = list(map(add, acc, map(mul, itertools.repeat(key[w]), total)))
         products.append(acc)
     return products
-
-
-def oracle_histogram_transition(
-    x: tuple[int, ...], z: tuple[int, ...], p: Scalar
-) -> Fraction:
-    """Probability that per-record noise maps dataset ``x`` into the set
-    of datasets with histogram ``z``, by direct enumeration."""
-    n = len(x)
-    k = len(z)
-    if sum(z) != n:
-        raise ValueError("histogram must sum to the dataset length")
-    if any(v < 0 or v >= k for v in x):
-        raise ValueError("dataset value out of range")
-    if not is_exact(p):
-        raise ValueError("oracle is rational-only; pass p as a Fraction")
-    _check_oracle_size(n, k)
-    p = Fraction(p)
-    off = (1 - p) / (k - 1)
-    total = Fraction(0)
-    for w in itertools.product(range(k), repeat=n):
-        if histogram_of(w, k) != z:
-            continue
-        prob = Fraction(1)
-        for a, b in zip(x, w):
-            prob *= p if a == b else off
-        total += prob
-    return total

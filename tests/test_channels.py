@@ -36,13 +36,8 @@ from rrshuffle.channels import (
     verify_dp_adjacent,
     verify_ldp,
 )
-from rrshuffle.combinatorics import (
-    epsilon_to_p,
-    krr_histogram_transition,
-    match_weights,
-    record_weights,
-    transition_sum,
-)
+from rrshuffle.combinatorics import epsilon_to_p, match_weights, record_weights
+from rrshuffle.reference import krr_histogram_transition, literal_krr, literal_shuffled
 from rrshuffle.scalars import FLOAT_TOL
 from rrshuffle.vulnerability import (
     GainFunction,
@@ -102,16 +97,11 @@ def test_match_weights_share_no_factor_with_their_denominator(n, k, p):
     keep, move, base = record_weights(k, p)
     unreduced = [keep**m * move ** (n - m) for m in range(n + 1)]
     assert [Fraction(w, den) for w in weights] == [Fraction(w, base**n) for w in unreduced]
-    datasets = enumerate_datasets(n, k)
-    rows = [[Fraction(unreduced[sum(a == b for a, b in zip(x, y))], base**n)
-             for y in datasets] for x in datasets]
+    rows, literal_den = literal_krr(n, k, p)
     chan = build_krr(n, k, p)
     assert chan.den == den
-    assert chan == Channel(chan.row_labels, chan.col_labels, rows)
-    for z_in in enumerate_histograms(n, k):
-        for z_out in enumerate_histograms(n, k):
-            assert krr_histogram_transition(z_in, z_out, p) == Fraction(
-                transition_sum(z_in, z_out, unreduced), base**n)
+    assert chan == Channel(chan.row_labels, chan.col_labels,
+                           [[Fraction(e, literal_den) for e in row] for row in rows])
 
 
 def test_shuffle_full_rows():
@@ -893,21 +883,16 @@ def test_float_channel_rejects_non_finite_entries(rows):
 
 @pytest.mark.parametrize("n, k", [(1, 3), (2, 3), (3, 3), (2, 4)])
 def test_krr_reduced_general_k_matches_full_aggregation(n, k):
+    # every dataset of a histogram sends the same mass to each histogram
     p = Fraction(3, 5)
     reduced = build_krr_reduced(n, k, p)
-    full = build_krr(n, k, p)
-    hists = [histogram_of(x, k) for x in enumerate_datasets(n, k)]
+    sums, den = literal_shuffled(literal_krr(n, k, p), n, k, reduced=True)
     hist_list = enumerate_histograms(n, k)
-    for zi, z1 in enumerate(hist_list):
-        members = [i for i, h in enumerate(hists) if h == z1]
-        for zj, z2 in enumerate(hist_list):
-            total = sum(
-                full.rows[i][j] for i in members
-                for j, h in enumerate(hists) if h == z2
-            )
-            want = total / len(members)
-            assert reduced.rows[zi][zj] == want
-            assert krr_histogram_transition(z1, z2, p) == want
+    for x, row in zip(enumerate_datasets(n, k), sums):
+        z1 = histogram_of(x, k)
+        want = reduced.rows[hist_list.index(z1)]
+        assert tuple(Fraction(e, den) for e in row) == want
+        assert tuple(krr_histogram_transition(z1, z2, p) for z2 in hist_list) == want
 
 
 @pytest.mark.parametrize("n, k, ps", [

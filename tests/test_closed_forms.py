@@ -27,14 +27,9 @@ from rrshuffle.closed_forms import (
     v_post_shuffle_binary_sum,
     v_post_shuffle_general,
 )
-from rrshuffle.combinatorics import (
-    enumerate_histograms,
-    epsilon_to_p,
-    multinomial,
-    p_to_epsilon,
-    record_weights,
-)
+from rrshuffle.combinatorics import epsilon_to_p, p_to_epsilon, record_weights
 from rrshuffle.oracle import oracle_posterior
+from rrshuffle.reference import max_load_counts
 from rrshuffle.scalars import FLOAT_TOL, is_exact, require_mechanism
 
 P_GRID = [Fraction(1, 2), Fraction(3, 5), Fraction(3, 4), Fraction(9, 10), Fraction(1)]
@@ -323,10 +318,7 @@ def test_binary_mode_form_float_close_to_exact_property(n, p):
 def _literal_tails(n, k):
     """k^n minus the maps whose largest bin holds at most m records, for
     m = 0..n-1, counted composition by composition."""
-    by_max = [0] * (n + 1)
-    for comp in enumerate_histograms(n, k):
-        by_max[max(comp)] += multinomial(n, comp)
-    bounded = list(itertools.accumulate(by_max))
+    bounded = list(itertools.accumulate(max_load_counts(n, k)))
     return [k**n - bounded[m] for m in range(n)]
 
 
@@ -594,7 +586,7 @@ def test_posterior_for_shuffle_sum_is_the_partition_sum(monkeypatch):
     def no_compositions(n, k):
         raise AssertionError("the composition sum is not the sum method")
 
-    monkeypatch.setattr(closed_forms, "enumerate_histograms", no_compositions)
+    monkeypatch.setattr(closed_forms, "max_load_counts", no_compositions)
     for (n, k), value in want.items():
         assert posterior_for("shuffle", n, k, method="sum", exact=True) == value
         assert posterior_for("shuffle", n, k, method="sum", exact=False) == float(value)

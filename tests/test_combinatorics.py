@@ -11,11 +11,14 @@ from rrshuffle.combinatorics import (
     binomial,
     enumerate_histograms,
     epsilon_to_p,
+    p_to_epsilon,
+    partition_terms,
+)
+from rrshuffle.reference import (
     krr_histogram_transition,
     log_multinomial,
     multinomial,
-    p_to_epsilon,
-    partition_terms,
+    oracle_histogram_transition,
     partitions,
     transfer_tables,
 )
@@ -44,22 +47,6 @@ def count_partitions_atmost(n, k):
     if k == 0 or n < 0:
         return 0
     return count_partitions_atmost(n - k, k) + count_partitions_atmost(n, k - 1)
-
-
-def brute_histogram_transition(n_a_in, n_b_in, n_a_out, n_b_out, p):
-    """Sum per-record noise probabilities over every output dataset with
-    the requested histogram; exhaustive, independent of the formula."""
-    n = n_a_in + n_b_in
-    x = (0,) * n_a_in + (1,) * n_b_in
-    total = Fraction(0)
-    for w in itertools.product((0, 1), repeat=n):
-        if w.count(0) != n_a_out:
-            continue
-        prob = Fraction(1)
-        for a, b in zip(x, w):
-            prob *= p if a == b else 1 - p
-        total += prob
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -287,12 +274,14 @@ def test_histogram_transition_rows_normalize(p):
 
 @pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(3, 5), Fraction(3, 4), Fraction(1)])
 def test_histogram_transition_matches_enumeration(p):
-    for n in range(1, 7):
+    # the transfer-table sum against the sum over every output dataset
+    for n in range(1, 9):
         for a_in in range(n + 1):
+            x = (0,) * a_in + (1,) * (n - a_in)
             for a_out in range(n + 1):
                 assert krr_histogram_transition(
                     (a_in, n - a_in), (a_out, n - a_out), p
-                ) == brute_histogram_transition(a_in, n - a_in, a_out, n - a_out, p)
+                ) == oracle_histogram_transition(x, (a_out, n - a_out), p)
 
 
 # ---------------------------------------------------------------------------
