@@ -508,10 +508,7 @@ def _matmul(A, B, ncols: int, zero) -> list[tuple]:
     entries of a row of A over each group are added by ``sum`` first; a
     zero weight is skipped.  Both ways give each entry the same sum of
     the same products in the same order.  Equal rows of A give one
-    shared product row.  It stays apart from ``oracle._times``, which
-    takes k vectors through a matrix by grouping rows on their weights
-    in all k: run that way, every cascade but shuffle then noise was
-    slower (its docstring has the measurements).
+    shared product row.
     """
     groups: dict[tuple, list[int]] = {}
     for i, brow in enumerate(B):

@@ -154,11 +154,13 @@ def p_to_epsilon(p: Scalar, k: int) -> float:
     1/k <= p < 1; for an exact p = s/d the ratio is one integer quotient,
     s (k-1) / (d - s), rounded once.  k and p are checked by
     :func:`~rrshuffle.scalars.require_mechanism`, and p = 1 (an infinite
-    epsilon) is refused as well, each with a ``ValueError``."""
+    epsilon) is refused as well, each with a ``ValueError``.  A float p
+    the rule accepts within its tolerance below 1/k means 1/k: its
+    epsilon is 0, not a negative rounding residue."""
     require_mechanism(k=k, p=p)
     if p == 1:
         raise ValueError("epsilon is infinite at p = 1")
     if is_exact(p):
         s, d = p.as_integer_ratio()
         return math.log(s * (k - 1) / (d - s))
-    return math.log(p * (k - 1) / (1 - p))
+    return max(0.0, math.log(p * (k - 1) / (1 - p)))

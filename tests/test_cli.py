@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rrshuffle import cli, closed_forms
+from rrshuffle.channels import build_krr, build_shuffle_full, cascade
 from rrshuffle.cli import main
 from rrshuffle.closed_forms import posterior_for
 from rrshuffle.scalars import FLOAT_TOL, format_scalar, parse_scalar
@@ -84,6 +85,16 @@ def test_vuln_prints_the_epsilon_it_was_given(capsys, epsilon, k, exact):
                          "--epsilon", epsilon, *exact)
     assert (code, err) == (0, "")
     assert record(out)["epsilon"] == repr(float(epsilon))
+
+
+@pytest.mark.parametrize("k, p", [("3", "1/3"), ("7", "0.14285714285714285"),
+                                  ("3", "0.33333333333333")])
+def test_vuln_prints_epsilon_0_for_a_float_p_just_below_one_over_k(capsys, k, p):
+    # such a p is 1/k within the tolerance; it printed -1.1e-16, -1.1e-16, -1.5e-14
+    code, out, err = run(capsys, "vuln", "--mech", "krr-shuffle", "--n", "3", "--k", k,
+                         "--p", p)
+    assert (code, err) == (0, "")
+    assert record(out)["epsilon"] == "0.0"
 
 
 @pytest.mark.parametrize("k", [2, 3, 5])
@@ -481,12 +492,13 @@ def test_channel_krr_rows_stochastic(capsys):
 
 
 def test_channel_full_cascades_agree(capsys):
-    code_ns, out_ns, _ = run(capsys, "channel", "--kind", "ns", "--n", "2",
+    # each kind dumps the cascade it names, in its own stage order
+    noise, shuffle = build_krr(2, 2, Fraction(3, 4)), build_shuffle_full(2, 2)
+    for kind, want in (("ns", cascade(noise, shuffle)), ("sn", cascade(shuffle, noise))):
+        code, out, err = run(capsys, "channel", "--kind", kind, "--n", "2",
                              "--k", "2", "--p", "0.75", "--exact")
-    code_sn, out_sn, _ = run(capsys, "channel", "--kind", "sn", "--n", "2",
-                             "--k", "2", "--p", "0.75", "--exact")
-    assert code_ns == code_sn == 0
-    assert out_ns == out_sn
+        assert (code, err) == (0, "")
+        assert out == want.to_csv(exact=True)
 
 
 KINDS = ["krr", "krr-reduced", "shuffle", "shuffle-reduced", "ns", "sn", "ns-reduced"]

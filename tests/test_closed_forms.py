@@ -664,7 +664,7 @@ def chain_linear_relation(v_s, k, p, exact):
 def chain_p_to_epsilon(p, k):
     if is_exact(p):
         return math.log(Fraction(p) * (k - 1) / (1 - Fraction(p)))
-    return math.log(p * (k - 1) / (1 - p))
+    return max(0.0, math.log(p * (k - 1) / (1 - p)))
 
 
 def chain_count_mode_probability(a, b, p):

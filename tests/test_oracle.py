@@ -3,17 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from rrshuffle.channels import (
-    CapExceededError,
-    build_krr,
-    build_shuffle_full,
-    cascade,
-    enumerate_datasets,
-    enumerate_histograms,
-)
+import rrshuffle.oracle
+from rrshuffle.channels import CapExceededError, enumerate_histograms
 from rrshuffle.closed_forms import v_post_ns_general
 from rrshuffle.oracle import ORACLE_CAP, oracle_posterior
-from rrshuffle.reference import krr_histogram_transition, oracle_histogram_transition
+from rrshuffle.reference import (
+    datasets,
+    krr_histogram_transition,
+    literal_krr,
+    literal_shuffle,
+    oracle_histogram_transition,
+)
 
 
 def test_oracle_shuffle_n3():
@@ -40,17 +40,31 @@ def test_oracle_pipeline_order_irrelevant():
 
 def literal_oracle_posterior(n, k, pipeline, p=None):
     """sum_y max_w sum_{x: x0 = w} C[x, y] / k**n, column by column and
-    entry by entry: the reference for the block sums of the oracle."""
-    stages = {"krr": lambda: build_krr(n, k, p), "shuffle": lambda: build_shuffle_full(n, k)}
-    channel = None
+    entry by entry, for the product C of the literal stages of
+    rrshuffle.reference taken in a plain loop: the reference for the block
+    sums of the oracle, which shares no builder and no product with it."""
+    stages = {"krr": lambda: literal_krr(n, k, p), "shuffle": lambda: literal_shuffle(n, k)}
+    rows, den = None, 1
     for kind in pipeline:
-        stage = stages[kind]()
-        channel = stage if channel is None else cascade(channel, stage)
-    X = enumerate_datasets(n, k)
+        stage, stage_den = stages[kind]()
+        den *= stage_den
+        if rows is None:
+            rows = stage
+            continue
+        product = []
+        for row in rows:
+            acc = [0] * len(stage[0])
+            for i, weight in enumerate(row):
+                if weight:
+                    for j, entry in enumerate(stage[i]):
+                        acc[j] += weight * entry
+            product.append(acc)
+        rows = product
+    X = datasets(n, k)
     total = 0
-    for column in zip(*channel.rows):
+    for column in zip(*rows):
         total += max(sum(c for c, x in zip(column, X) if x[0] == w) for w in range(k))
-    return total / k**n
+    return Fraction(total, den * k**n)
 
 
 # k**n <= 81; each stage order puts the rows in its own order of blocks
@@ -62,6 +76,25 @@ def test_oracle_block_sums_equal_the_literal_column_loop(n, k):
         for pipeline in (["krr"], ["krr", "shuffle"], ["shuffle", "krr"]):
             assert oracle_posterior(n, k, pipeline, p) == (
                 literal_oracle_posterior(n, k, pipeline, p))
+
+
+@pytest.mark.parametrize("pipeline", [["krr", "shuffle"], ["shuffle", "krr"],
+                                      ["krr", "shuffle", "krr"]])
+def test_oracle_takes_only_the_k_target_blocks_through_each_stage(monkeypatch, pipeline):
+    # block first: every product is k block rows times a stage, never
+    # the k**n x k**n product of the stages
+    n, k = 4, 3
+    kernel = rrshuffle.oracle._matmul
+    heights = []
+
+    def spy(A, B, ncols, zero):
+        heights.append(len(A))
+        return kernel(A, B, ncols, zero)
+
+    monkeypatch.setattr(rrshuffle.oracle, "_matmul", spy)
+    got = oracle_posterior(n, k, pipeline, Fraction(3, 5))
+    assert heights == [k] * (len(pipeline) - 1)
+    assert got == literal_oracle_posterior(n, k, pipeline, Fraction(3, 5))
 
 
 @pytest.mark.parametrize("p", [Fraction(3, 5), Fraction(9, 10)])
