@@ -17,13 +17,13 @@ result is divided once by its denominator, or read as binary64.
 rows whose entries are all rationals (``Fraction`` or ``int``) make an
 exact channel; any other entry makes a float channel, which stores
 binary64 only: every entry is a ``float``, and -0.0 is stored as 0.0.
-The float paths below can therefore assume one type.  ``rows`` reads
-probabilities in both cases; for an exact channel it builds the
-``Fraction`` matrix on first use, so hot paths read ``num`` and ``den``
-instead: the reduced noise channel is built as integer products of
-per-record reports, and two exact channels are compared for leakage
-equivalence on their primitive integer columns, with no ``Fraction``
-per entry.
+The float paths below can therefore assume one type.  ``num`` and
+``den`` are the whole state.  ``rows`` reads probabilities, for an
+exact channel a ``Fraction`` view built on each read; only ``repr``
+reads it.  The rest reads ``num`` and ``den``, with no ``Fraction`` per
+entry: the reduced noise channel is built as integer products of
+per-record reports, exact leakage equivalence compares primitive
+integer columns, and the DP checks compare integers exactly.
 
 Validation.  Labels and rows are checked once, where they come from
 outside: ``Channel(...)`` and :func:`identity_channel`, each row by
@@ -135,6 +135,14 @@ def _check_cap(n: int, k: int, cap: int):
 # ---------------------------------------------------------------------------
 
 
+def _per_object(rows, convert) -> list:
+    """``convert(row)`` for each row of the sequence ``rows``, called once
+    per row object, so rows that are one object stay one object."""
+    ids = list(map(id, rows))
+    converted = {i: convert(row) for i, row in dict(zip(ids, rows)).items()}
+    return list(map(converted.__getitem__, ids))
+
+
 class Channel:
     """Row-stochastic labeled matrix of conditional probabilities.
 
@@ -142,7 +150,7 @@ class Channel:
     Float: binary64 rows ``num``, with ``den`` None.
     """
 
-    __slots__ = ("row_labels", "col_labels", "num", "den", "_rows")
+    __slots__ = ("row_labels", "col_labels", "num", "den")
 
     def __new__(cls, row_labels, col_labels, rows):
         """Channel from rows of probabilities: exact when every entry is
@@ -176,15 +184,12 @@ class Channel:
                         break
             if g > 1:
                 den //= g
-                reduced: dict[int, tuple[int, ...]] = {}
-                for row in num:
-                    if id(row) not in reduced:
-                        reduced[id(row)] = tuple(map(floordiv, row, itertools.repeat(g)))
-                num = [reduced[id(row)] for row in num]
+                num = _per_object(
+                    num, lambda row: tuple(map(floordiv, row, itertools.repeat(g))))
         self = object.__new__(cls)
         for name, value in (("row_labels", tuple(row_labels)),
                             ("col_labels", tuple(col_labels)),
-                            ("num", tuple(num)), ("den", den), ("_rows", None)):
+                            ("num", tuple(num)), ("den", den)):
             object.__setattr__(self, name, value)
         return self
 
@@ -216,17 +221,12 @@ class Channel:
 
     @property
     def rows(self) -> tuple[tuple[Scalar, ...], ...]:
-        """The entries as probabilities (``Fraction`` for an exact channel)."""
+        """The entries as probabilities: ``num`` for a float channel, else
+        ``Fraction`` rows built on each read, one per row object of ``num``."""
         if self.den is None:
             return self.num
-        if self._rows is None:
-            den = self.den
-            built: dict[int, tuple[Fraction, ...]] = {}
-            for row in self.num:
-                if id(row) not in built:
-                    built[id(row)] = tuple(Fraction(v, den) for v in row)
-            object.__setattr__(self, "_rows", tuple(built[id(row)] for row in self.num))
-        return self._rows
+        den = self.den
+        return tuple(_per_object(self.num, lambda row: tuple(Fraction(v, den) for v in row)))
 
     def _key(self):
         return (self.row_labels, self.col_labels, self.den, self.num)
@@ -549,11 +549,7 @@ def _binary64(channel: Channel):
     if channel.den is None:
         return channel.num
     den = itertools.repeat(channel.den)
-    converted: dict[int, tuple[float, ...]] = {}
-    for row in channel.num:
-        if id(row) not in converted:
-            converted[id(row)] = tuple(map(truediv, row, den))
-    return [converted[id(row)] for row in channel.num]
+    return _per_object(channel.num, lambda row: tuple(map(truediv, row, den)))
 
 
 def identity_channel(labels: tuple[str, ...]) -> Channel:
@@ -692,24 +688,30 @@ def equivalent(a: Channel, b: Channel) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _ratio_rule(channel: Channel, epsilon: float):
+    """The test both DP checks apply to entries a, b of ``channel.num``:
+    a <= B b and b <= B a, for B = e^epsilon + ``FLOAT_TOL`` in binary64,
+    so two zeros pass and a zero against a nonzero fails.  The shared
+    denominator cancels: exact integers are compared with B's exact
+    rational, float entries in binary64.  ``exp_epsilon`` checks epsilon.
+    """
+    bound = exp_epsilon(epsilon) + FLOAT_TOL
+    if channel.den is None:
+        return lambda a, b: a <= bound * b and b <= bound * a
+    top, bottom = bound.as_integer_ratio()
+    return lambda a, b: a * bottom <= top * b and b * bottom <= top * a
+
+
 def verify_ldp(channel: Channel, epsilon: float) -> bool:
     """Check the local-DP ratio bound on a single-user channel.
 
     True iff within every column the largest entry is at most e^epsilon
-    (within ``FLOAT_TOL``) times the smallest nonzero entry, and no
-    column mixes zero with nonzero entries (which would force an
-    infinite ratio).  An epsilon ``exp_epsilon`` refuses raises ``ValueError``.
+    (within ``FLOAT_TOL``) times the smallest, so no column mixes zero
+    with nonzero entries (an infinite ratio); :func:`_ratio_rule` compares
+    them, exactly for an exact channel however small its entries.
     """
-    bound = exp_epsilon(epsilon) + FLOAT_TOL
-    for col in zip(*channel.rows):
-        nonzero = [e for e in col if e > 0]
-        if not nonzero:
-            continue
-        if len(nonzero) != len(col):
-            return False
-        if max(nonzero) > bound * min(nonzero):
-            return False
-    return True
+    within = _ratio_rule(channel, epsilon)
+    return all(within(max(col), min(col)) for col in zip(*channel.num))
 
 
 def verify_dp_adjacent(channel: Channel, n: int, k: int, epsilon: float) -> bool:
@@ -718,24 +720,19 @@ def verify_dp_adjacent(channel: Channel, n: int, k: int, epsilon: float) -> bool
     The channel's rows must be the standard dataset enumeration for
     (n, k).  True iff for every pair of datasets differing in exactly
     one record and every output, the probability ratio is at most
-    e^epsilon (within ``FLOAT_TOL``); ``exp_epsilon`` checks epsilon.
+    e^epsilon (within ``FLOAT_TOL``) by :func:`_ratio_rule`.  Record pos
+    weighs k^(n-1-pos) in the base-k row index, so the datasets that only
+    raise its value lie at multiples of that weight past the row.
     """
-    bound = exp_epsilon(epsilon) + FLOAT_TOL
+    within = _ratio_rule(channel, epsilon)
     if channel.row_labels != dataset_labels(n, k):
         raise ValueError("channel rows are not the dataset enumeration for (n, k)")
-    X = enumerate_datasets(n, k)
-    index = {x: i for i, x in enumerate(X)}
-    for x in X:
-        rx = channel.rows[index[x]]
-        for pos in range(n):
-            for v in range(x[pos] + 1, k):
-                y = x[:pos] + (v,) + x[pos + 1 :]
-                ry = channel.rows[index[y]]
-                for a, b in zip(rx, ry):
-                    if (a > 0) != (b > 0):
-                        return False
-                    if a and b and (a > bound * b or b > bound * a):
-                        return False
+    num = channel.num
+    for weight in (k**e for e in range(n)):
+        for i, row in enumerate(num):
+            for other in num[i + weight:i + (k - i // weight % k) * weight:weight]:
+                if not all(map(within, row, other)):
+                    return False
     return True
 
 
@@ -758,8 +755,9 @@ def _reporter(n: int, epsilon: float, exact: bool, bit) -> Channel:
     else:
         truth = e / (1 + e)
         lie, den = 1 - truth, None
-    rows = [(lie, truth) if bit(x) else (truth, lie) for x in enumerate_datasets(n, 2)]
-    return Channel._stored(dataset_labels(n, 2), ("0", "1"), rows, den)
+    rows = ((truth, lie), (lie, truth))  # indexed by the bit: two row objects
+    return Channel._stored(dataset_labels(n, 2), ("0", "1"),
+                           [rows[bit(x)] for x in enumerate_datasets(n, 2)], den)
 
 
 def build_last_record_reporter(n: int, epsilon: float, exact: bool = True) -> Channel:

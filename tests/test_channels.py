@@ -413,6 +413,49 @@ def test_verify_dp_adjacent_requires_dataset_rows():
         verify_dp_adjacent(build_shuffle_reduced(2, 2), 2, 3, 1.0)
 
 
+def test_dp_checks_decide_exact_channels_with_tiny_entries_exactly():
+    # both once returned False: a float bound times a Fraction is rounded
+    # through binary64, and 2 / 10**400 rounds to 0.0
+    chan = build_krr(2, 2, 1 - Fraction(1, 10**200))  # adjacent ratio 10**200 - 1
+    assert verify_dp_adjacent(chan, 2, 2, math.log(10**200) + 1e-6)
+    assert not verify_dp_adjacent(chan, 2, 2, math.log(10**200) - 1e-6)
+    t = Fraction(1, 10**400)
+    assert verify_ldp(Channel(("a", "b"), ("x", "y"), [(1 - 2 * t, 2 * t)] * 2), 0.0)
+    wide = Channel(("a", "b"), ("x", "y"), [(1 - 3 * t, 3 * t), (1 - t, t)])  # ratio 3
+    assert not verify_ldp(wide, math.log(2))
+    assert verify_ldp(wide, math.log(3))
+    assert not verify_dp_adjacent(wide, 1, 2, math.log(2))  # rows a, b: one record
+
+
+def test_dp_checks_on_a_float_channel_are_unchanged():
+    chan = build_krr(2, 2, 0.75)  # entries 9/16, 3/16, 3/16, 1/16
+    assert [verify_ldp(chan, eps)
+            for eps in (math.log(3), math.log(9) - 0.01, math.log(9))] == [False, False, True]
+    assert [verify_dp_adjacent(chan, 2, 2, eps)
+            for eps in (0.0, 1.0, math.log(3) - 0.01, math.log(3), 2.0)] == [
+        False, False, False, True, True]
+
+
+def literal_dp_adjacent(chan, n, k, epsilon):
+    """Every pair of datasets that differ in one record, every column:
+    each ``Fraction`` entry at most e^epsilon + FLOAT_TOL times the other."""
+    bound = Fraction(math.exp(epsilon) + FLOAT_TOL)
+    xs = enumerate_datasets(n, k)
+    return all(a <= bound * b and b <= bound * a
+               for (x, rx), (y, ry) in itertools.combinations(zip(xs, chan.rows), 2)
+               if sum(map(int.__ne__, x, y)) == 1
+               for a, b in zip(rx, ry))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_verify_dp_adjacent_visits_every_neighbour(data):
+    n, k = data.draw(st.sampled_from([(1, 3), (2, 2), (2, 3), (3, 2), (2, 4)]))
+    chan = Channel(dataset_labels(n, k), ("x", "y", "z"), data.draw(rational_rows(k**n, 3)))
+    for eps in (0.0, math.log(2), 1.0, math.log(5), 2.0):
+        assert verify_dp_adjacent(chan, n, k, eps) == literal_dp_adjacent(chan, n, k, eps)
+
+
 # ---------------------------------------------------------------------------
 # the two introductory mechanisms
 # ---------------------------------------------------------------------------
@@ -442,6 +485,15 @@ def test_parity_masked_reporter_degenerates_at_n1():
     a = build_last_record_reporter(1, eps)
     b = build_parity_masked_reporter(1, eps)
     assert a.rows == b.rows
+
+
+def test_reporters_hold_two_row_objects():
+    for n in (1, 3, 6):
+        for exact in (True, False):
+            for build in (build_last_record_reporter, build_parity_masked_reporter):
+                chan = build(n, 1.0, exact)
+                assert len(chan.num) == 2**n
+                assert len({id(row) for row in chan.num}) == 2
 
 
 @pytest.mark.parametrize("eps", [0.5, 1.0, 2.0])
@@ -690,6 +742,22 @@ def test_builder_float_channels_hold_only_binary64(n, k):
         for chan in (build_last_record_reporter(n, eps, exact=False),
                      build_parity_masked_reporter(n, eps, exact=False)):
             assert all(all_binary64(row) for row in chan.num)
+
+
+def test_the_stored_form_is_the_whole_state():
+    assert Channel.__slots__ == ("row_labels", "col_labels", "num", "den")
+    for chan in (build_shuffle_full(3, 2), build_krr_shuffle(2, 3, Fraction(3, 5)),
+                 build_krr(2, 3, 0.6), build_last_record_reporter(3, 1.0)):
+        before = (hash(chan), pickle.dumps(chan))
+        copy = pickle.loads(before[1])
+        rows = chan.rows
+        assert rows == chan.rows and len(rows) == len(chan.num)
+        # one row object per row object of num
+        pairs = {(id(row), id(view)) for row, view in zip(chan.num, rows)}
+        assert len(pairs) == len({i for i, _ in pairs}) == len({j for _, j in pairs})
+        assert (hash(chan), pickle.dumps(chan)) == before and chan == copy
+        with pytest.raises(AttributeError):
+            object.__setattr__(chan, "_rows", rows)
 
 
 def test_pickle_round_trip_keeps_kind_and_shared_rows():

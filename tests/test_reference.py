@@ -179,3 +179,58 @@ def test_a_planted_import_is_a_layering_fault(tmp_path, module, line, fault):
             text += "\n%s\n" % line
         (tmp_path / path.name).write_text(text)
     assert layering_faults(tmp_path) == [fault]
+
+
+# ---------------------------------------------------------------------------
+# reads of a channel's probability view
+# ---------------------------------------------------------------------------
+
+#: Where the package may read an attribute named ``rows``: a channel holds
+#: its entries once, in ``num`` over ``den``, and only its ``repr`` reads
+#: the probabilities that ``Channel.rows`` builds from them.
+READS_ROWS = {("channels", "Channel.rows"), ("channels", "Channel.__repr__")}
+
+
+def _rows_reads(node, scope=()):
+    """The qualified name of the function or class around each read of an
+    attribute named ``rows`` under ``node``, "" at module level."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _rows_reads(child, scope + (child.name,))
+            continue
+        if (isinstance(child, ast.Attribute) and child.attr == "rows"
+                and isinstance(child.ctx, ast.Load)):
+            yield ".".join(scope)
+        yield from _rows_reads(child, scope)
+
+
+def rows_faults(package: Path) -> list[str]:
+    """Each read of an attribute named ``rows`` in the package's modules
+    outside :data:`READS_ROWS`."""
+    return ["%s reads .rows in %s" % (path.stem, where or "the module body")
+            for path in sorted(package.glob("*.py"))
+            for where in _rows_reads(ast.parse(path.read_text()))
+            if (path.stem, where) not in READS_ROWS]
+
+
+def test_only_a_channels_repr_reads_its_rows():
+    assert rows_faults(PACKAGE) == []
+
+
+@pytest.mark.parametrize("module, text, fault", [
+    ("channels", "def _planted(channel):\n    return channel.rows",
+     "channels reads .rows in _planted"),
+    ("checks", "class Planted:\n    def run(self, chan):\n        return len(chan.rows)",
+     "checks reads .rows in Planted.run"),
+    ("cli", "class Channel:\n    def __repr__(self):\n        return repr(self.rows)",
+     "cli reads .rows in Channel.__repr__"),
+    ("vulnerability", "WIDTH = len(Channel.rows)",
+     "vulnerability reads .rows in the module body"),
+], ids=["function", "method", "another-Channel", "module-body"])
+def test_a_planted_rows_read_is_a_fault(tmp_path, module, text, fault):
+    for path in PACKAGE.glob("*.py"):
+        source = path.read_text()
+        if path.stem == module:
+            source += "\n\n%s\n" % text
+        (tmp_path / path.name).write_text(source)
+    assert rows_faults(tmp_path) == [fault]
