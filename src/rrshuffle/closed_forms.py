@@ -30,7 +30,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import accumulate
+from itertools import repeat
+from operator import add, mul
 from typing import Iterator, Literal, NamedTuple, Optional, Sequence
 
 from .combinatorics import partition_terms
@@ -177,7 +178,9 @@ def _max_load_tails(n: int, k: int, exact: bool) -> list[Scalar]:
     v - 1.  Then A_m = sum_u C(k, u) W[u][n].  The exact factors by c,
     (cv)! / v!^c and entry n's n! / ((n - cv)! v!^c), are carried from
     v - 1 to v by one falling factorial of length c and one exact division
-    by v^c each, not rebuilt from binomials at every step.
+    by v^c each, not rebuilt from binomials at every step; an entry r below
+    n takes its C(r, cv) from math.comb.  The float powers of a size's
+    Poisson weight are taken once per size, each by ``**``.
 
     Only the entries that can still reach n records are written: entry n,
     and the r with n - r in [v + 1, (min(k, n) - u)(floor(n/2) - 1)], what
@@ -231,21 +234,31 @@ def _max_load_tails(n: int, k: int, exact: bool) -> list[Scalar]:
                 ways_n[c] = ways_n[c] * math.perm(n - c * (v - 1), c) // den
         else:
             weight = math.exp(-lam + v * log_lam - math.lgamma(v + 1))
+            powers = [weight**c for c in range(c_max + 1)]  # **, not products: same bits
+        below, reach = v - 1, n - v - 1  # a source's bin bound; the last live r < n
         for u in range(u_max, 0, -1):
-            row = rows[u]
+            row, choose_u = rows[u], choose[u]
             floor = n - (u_max - u) * top  # the lowest live entry below n
             for c in range(1, min(u, c_max) + 1):
                 lo, cv = u - c, c * v  # lo: the source row's non-empty bins
-                hi = min(lo * (v - 1), n - cv)  # its last non-zero entry up to n - cv
+                n_cv = n - cv
+                hi = lo * below  # the source's last non-zero entry, up to n - cv
+                if hi > n_cv:
+                    hi = n_cv
                 # the sources of live targets: a range [a, b), and n - cv
-                a, b = max(lo, floor - cv), min(hi, n - v - 1 - cv) + 1
-                at_n = lo <= hi == n - cv
+                a, b = floor - cv, reach - cv
+                if a < lo:
+                    a = lo
+                if b > hi:
+                    b = hi
+                b += 1
+                at_n = hi == n_cv and lo <= hi
                 if a >= b and not at_n:
                     continue
                 if exact:
-                    coef = choose[u][c] * ways[c]
+                    coef = choose_u[c] * ways[c]
                 else:
-                    coef = choose[u][c] * weight**c
+                    coef = choose_u[c] * powers[c]
                     if coef == 0.0:
                         break  # underflow: so are the higher powers
                 src = rows[lo]
@@ -253,26 +266,18 @@ def _max_load_tails(n: int, k: int, exact: bool) -> list[Scalar]:
                     start, stop = a + cv, b + cv
                     if exact:
                         # r! / ((r - cv)! v!^c) = C(r, cv) (cv)! / v!^c, the
-                        # second factor in coef; C(r, cv) = C(r - 1, cv) r / (r - cv)
-                        factors = accumulate(
-                            range(start + 1, stop),
-                            lambda x, r: x * r // (r - cv),
-                            initial=math.comb(start, cv),
-                        )
-                        row[start:stop] = [
-                            x + y * f * coef
-                            for x, y, f in zip(row[start:stop], src[a:b], factors)
-                        ]
+                        # second factor in coef
+                        factors = map(math.comb, range(start, stop), repeat(cv))
+                        terms = map(mul, map(mul, src[a:b], factors), repeat(coef))
                     else:
-                        row[start:stop] = [
-                            x + coef * y for x, y in zip(row[start:stop], src[a:b])
-                        ]
+                        terms = map(mul, repeat(coef), src[a:b])
+                    row[start:stop] = map(add, row[start:stop], terms)
                 if at_n:
                     if exact:
-                        row[n] += src[hi] * choose[u][c] * ways_n[c]
+                        row[n] += src[hi] * choose_u[c] * ways_n[c]
                     else:
                         row[n] += coef * src[hi]
-        bounded = (choose_k[u] * rows[u][n] for u in range(1, u_max + 1))
+        bounded = [choose_k[u] * rows[u][n] for u in range(1, u_max + 1)]
         tails.append(full - sum(bounded) if exact else 1.0 - math.fsum(bounded))
     upper = _one_bin_tails(n, k, max(n // 2, 1))
     if not exact:

@@ -457,6 +457,20 @@ def test_overflow_exits_2_with_exact_hint(capsys, monkeypatch):
     assert err.startswith("error: binary64 overflow") and "--exact" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("vuln", "--mech", "shuffle", "--k", "2000", "--n", "1000"),
+    ("sweep", "--mech", "shuffle", "--k", "7000", "--n-start", "199", "--n-end", "200"),
+])
+def test_float_max_load_overflow_exits_2_with_exact_hint(capsys, argv):
+    # the float bounded-load weights C(k, u) e^{-(k-u) n/k} / P(Po(n) = n)
+    # overflow at k >> n (ROADMAP, the float V_S defects); the refusal must
+    # stay a message, not a traceback, until that path is mended
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: binary64 overflow (math range error); rerun with --exact\n"
+
+
 # ---------------------------------------------------------------------------
 # channel
 # ---------------------------------------------------------------------------
