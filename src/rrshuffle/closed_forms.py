@@ -30,8 +30,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import repeat
-from operator import add, mul
 from typing import Iterator, Literal, NamedTuple, Optional, Sequence
 
 from .combinatorics import partition_terms
@@ -178,9 +176,10 @@ def _max_load_tails(n: int, k: int, exact: bool) -> list[Scalar]:
     v - 1.  Then A_m = sum_u C(k, u) W[u][n].  The exact factors by c,
     (cv)! / v!^c and entry n's n! / ((n - cv)! v!^c), are carried from
     v - 1 to v by one falling factorial of length c and one exact division
-    by v^c each, not rebuilt from binomials at every step; an entry r below
-    n takes its C(r, cv) from math.comb.  The float powers of a size's
-    Poisson weight are taken once per size, each by ``**``.
+    by v^c each, not rebuilt from binomials at every step; the C(r, cv) of
+    a written slice take one binomial, then an exact recurrence in r.  The
+    float powers of a size's Poisson weight are taken once per size, each
+    by ``**``.
 
     Only the entries that can still reach n records are written: entry n,
     and the r with n - r in [v + 1, (min(k, n) - u)(floor(n/2) - 1)], what
@@ -266,12 +265,15 @@ def _max_load_tails(n: int, k: int, exact: bool) -> list[Scalar]:
                     start, stop = a + cv, b + cv
                     if exact:
                         # r! / ((r - cv)! v!^c) = C(r, cv) (cv)! / v!^c, the
-                        # second factor in coef
-                        factors = map(math.comb, range(start, stop), repeat(cv))
-                        terms = map(mul, map(mul, src[a:b], factors), repeat(coef))
+                        # second factor in coef; f = C(r, cv), carried by
+                        # C(r + 1, cv) = C(r, cv) (r + 1) / (r + 1 - cv)
+                        f = math.comb(start, cv)
+                        for r in range(start, stop):
+                            row[r] += src[r - cv] * f * coef
+                            f = f * (r + 1) // (r + 1 - cv)
                     else:
-                        terms = map(mul, repeat(coef), src[a:b])
-                    row[start:stop] = map(add, row[start:stop], terms)
+                        for r in range(start, stop):
+                            row[r] += coef * src[r - cv]
                 if at_n:
                     if exact:
                         row[n] += src[hi] * choose_u[c] * ways_n[c]
