@@ -238,7 +238,7 @@ def _max_load_tails(n: int, k: int, exact: bool) -> list[Scalar]:
         for u in range(u_max, 0, -1):
             row, choose_u = rows[u], choose[u]
             floor = n - (u_max - u) * top  # the lowest live entry below n
-            for c in range(1, min(u, c_max) + 1):
+            for c in range(1, (u if u < c_max else c_max) + 1):
                 lo, cv = u - c, c * v  # lo: the source row's non-empty bins
                 n_cv = n - cv
                 hi = lo * below  # the source's last non-zero entry, up to n - cv
