@@ -39,7 +39,6 @@ from .closed_forms import (
     v_approx_shuffle,
     v_post_krr,
     v_post_ns_binary_fast,
-    v_post_ns_binary_sum,
     v_post_ns_general,
     v_post_shuffle_general,
 )

@@ -78,7 +78,8 @@ def v_post_ns_binary_sum(n: int, p: Scalar) -> Scalar:
 
     The partition sum of :func:`v_post_ns_general` at k = 2, whose
     terms pair C(n, i) with C(n, n - i); exact for an exact p, the
-    exact value rounded once for a float p."""
+    exact value rounded once for a float p.  Not exported by the
+    package; kept by name for the ``fastform`` suite and ``bench/``."""
     return v_post_ns_general(n, 2, p, method="partition", exact=is_exact(p))
 
 
@@ -340,10 +341,10 @@ def v_post_shuffle_general(
 
     if method == "bounded-load":
         tails = _max_load_tails(n, k, use_exact)
-        if use_exact:
-            return Fraction(sum(tails), k**n * n)
-        return math.fsum(tails) / n
-    if method == "composition":
+        if not use_exact:
+            return math.fsum(tails) / n
+        total = sum(tails)
+    elif method == "composition":
         total = sum(m * count for m, count in enumerate(max_load_counts(n, k)))
     elif method == "partition":
         total = scaled_max_load_via_multinomials(n, k)
@@ -382,7 +383,7 @@ def v_post_ns_general(
                                use_exact)
     if method != "partition":
         raise ValueError("method must be 'relation' or 'partition'")
-    return partition_score(partition_masses(n, k), n, k, p, use_exact)
+    return partition_score(scaled_max_load_via_multinomials(n, k), n, k, p, use_exact)
 
 
 def linear_relation(v_s: Scalar, k: int, p: Scalar, exact: bool) -> Scalar:
@@ -399,20 +400,12 @@ def linear_relation(v_s: Scalar, k: int, p: Scalar, exact: bool) -> Scalar:
     return v_s * (k * p - 1) / (k - 1) + (1 - p) / (k - 1)
 
 
-def partition_masses(n: int, k: int) -> int:
-    """The integer of the partition sum, which does not depend on p:
-    sum count top over the (count, top) pairs of
-    :func:`~rrshuffle.combinatorics.partition_terms`, top the largest
-    bin.  The counts themselves sum to k^n, the maps of n records to
-    k values."""
-    return sum(count * top for count, top in partition_terms(n, k))
-
-
 def partition_score(top_mass: int, n: int, k: int, p: Scalar,
                     exact: bool) -> Scalar:
-    """The partition sum from its :func:`partition_masses` integer:
-    sum count (top p + (n - top)(1 - p)/(k - 1)) / (n k^n).  With
-    p read as the rational s/d it denotes, that is one integer quotient,
+    """The partition sum from its integer, top_mass, of
+    :func:`scaled_max_load_via_multinomials`: sum count (top p +
+    (n - top)(1 - p)/(k - 1)) / (n k^n).  With p read as the rational
+    s/d it denotes, that is one integer quotient,
     (s top_mass (k - 1) + (d - s) rest_mass) / (d (k - 1) k^n n),
     divided once: into a ``Fraction``, or, for a float result, rounded
     once to binary64."""
@@ -446,19 +439,20 @@ def scaled_max_load(n: int, k: int) -> int:
 
 def scaled_max_load_via_multinomials(n: int, k: int) -> int:
     """Same integer as :func:`scaled_max_load`, by the partition sum, its
-    reference: the integer of :func:`partition_masses`, the pair of
-    multinomial coefficients of the vulnerability sum,
-    multinomial(n; parts) * multinomial(k; multiplicities, k - length)
-    times the largest part, summed over the partitions of n into at most
-    k parts.  The coefficients come from
+    reference; also the integer, free of p, of the partition method of
+    :func:`v_post_ns_general` and of the 'sum' sweep.  Over the
+    partitions of n into at most k parts it sums the pair of multinomial
+    coefficients of the vulnerability sum,
+    multinomial(n; parts) * multinomial(k; multiplicities, k - length),
+    times the largest part; the coefficients alone sum to k^n, the maps
+    of n records to k values.  They come from
     :func:`~rrshuffle.combinatorics.partition_terms`, one recursion that
-    builds each as it goes, so no partition object or multinomial call is
-    made per term.  Not exported by the package; kept by name for the
-    ``brown`` suite and the benchmark's tracer (``bench/spans.py``)."""
+    builds each as it goes (and refuses k < 1), so no partition object or
+    multinomial call is made per term.  Not exported by the package; kept
+    by name for the ``brown`` suite and the benchmark's tracer
+    (``bench/spans.py``)."""
     require_mechanism(n)
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    return partition_masses(n, k)
+    return sum(count * top for count, top in partition_terms(n, k))
 
 
 # ---------------------------------------------------------------------------
@@ -550,20 +544,20 @@ def posterior_sweep(
     shuffling alone), in that order.
 
     Each input is checked once, before any value: the kinds, then the
-    smallest n, then k, then each p in order, then the method (and that
-    it has a form for each kind).  For
-    'closed' and 'sum' a value takes two stages.  The first does not
-    depend on p and runs once per n for the whole grid: the binary mode
-    of :func:`count_mode_probability` for k = 2 and the integer of
-    :func:`partition_masses`, both exact in either mode, and for k > 2
-    V_S from :func:`v_post_shuffle_general`, once per n and scalar mode
-    (a float grid computes shuffling alone exactly for n <= 64 but noise
-    then shuffle in binary64, and the float V_S is not the exact one
-    rounded).  The second is the arithmetic in p, one integer quotient
-    per value: :func:`binary_vulnerability`, :func:`linear_relation` or
-    :func:`partition_score`.  Each p is read as the rational it denotes
-    once for the whole grid.  'oracle' and 'approx' run per point, the
-    oracle at that rational raised to 1/k if below it.
+    smallest n, then k, then each p in order, then the method (and that it
+    has a form for each kind).  For 'closed' and 'sum' a value takes two
+    stages.  The first does not depend on p and runs once per n for the
+    whole grid: the binary mode of :func:`count_mode_probability` for k = 2
+    and the partition-sum integer of
+    :func:`scaled_max_load_via_multinomials`, both exact in either mode, and
+    for k > 2 V_S from :func:`v_post_shuffle_general`, once per n and scalar
+    mode (a float grid computes shuffling alone exactly for n <= 64 but
+    noise then shuffle in binary64, and the float V_S is not the exact one
+    rounded).  The second is the arithmetic in p, one integer quotient per
+    value: :func:`binary_vulnerability`, :func:`linear_relation` or
+    :func:`partition_score`.  Each p is read as the rational it denotes once
+    for the whole grid.  'oracle' and 'approx' run per point, the oracle at
+    that rational raised to 1/k if below it.
     """
     for kind in kinds:
         if kind not in MECHANISMS:
@@ -610,10 +604,11 @@ def posterior_sweep(
 def _p_free_part(n: int, k: int, method: str, exact: bool):
     """The first stage of :func:`posterior_sweep`: what a 'closed' or
     'sum' value of shuffling, alone or after noise, takes from n and k
-    alone: for 'sum' the integer of :func:`partition_masses`, for
+    alone: for 'sum' the partition-sum integer of
+    :func:`scaled_max_load_via_multinomials`, for
     'closed' the binary mode at k = 2 and V_S above."""
     if method == "sum":
-        return partition_masses(n, k)
+        return scaled_max_load_via_multinomials(n, k)
     if k == 2:
         return count_mode_probability(n - 1, 0, Fraction(1, 2))
     return v_post_shuffle_general(n, k, exact=exact)

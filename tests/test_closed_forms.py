@@ -244,27 +244,22 @@ def test_monotone_pairwise_decrease():
 # ---------------------------------------------------------------------------
 
 
-def test_general_shuffle_matches_binary():
-    for n in (1, 2, 3, 6, 10):
-        assert v_post_shuffle_general(n, 2, exact=True) == v_post_shuffle_binary_sum(n)
+#: Where the composition sum is affordable: k <= 7 with n <= 15, and k > n.
+COMPOSITION_GRID = [(n, k) for k in range(2, 8) for n in range(1, 16)]
+COMPOSITION_GRID += [(n, 10) for n in range(1, 5)]
 
 
-def test_bounded_load_equals_partition_and_composition():
-    cases = [(n, k) for k in range(2, 8) for n in range(1, 16)]
-    cases += [(n, 10) for n in range(1, 5)]  # k > n
-    for n, k in cases:
-        recursion = v_post_shuffle_general(n, k, exact=True)
-        assert recursion == v_post_shuffle_general(n, k, method="partition", exact=True)
-        assert recursion == v_post_shuffle_general(
-            n, k, method="composition", exact=True
-        )
-
-
-def test_bounded_load_equals_partition_sum_at_larger_sizes():
-    for n, k in [(100, 5), (40, 8), (30, 10)]:
-        assert v_post_shuffle_general(n, k, exact=True) == v_post_shuffle_general(
-            n, k, method="partition", exact=True
-        )
+# The exact factors are carried through about n/2 bin sizes, and up to ten
+# bins at the points general-k's benchmark runs.
+@pytest.mark.parametrize("n, k", COMPOSITION_GRID + [
+    (50, 3), (60, 2), (30, 5), (100, 5), (40, 8), (30, 10),
+    (200, 3), (120, 4), (80, 6), (60, 8), (40, 10), (20, 9)])
+def test_max_load_recursion_equals_partition_sum(n, k):
+    recursion = v_post_shuffle_general(n, k, exact=True)
+    assert recursion == v_post_shuffle_general(n, k, method="partition", exact=True)
+    assert scaled_max_load(n, k) == scaled_max_load_via_multinomials(n, k)
+    if (n, k) in COMPOSITION_GRID:
+        assert recursion == v_post_shuffle_general(n, k, method="composition", exact=True)
 
 
 # (70, 10**6): C(k, u) exceeds the float range for u >= 68.  The relative
@@ -441,19 +436,6 @@ def test_max_load_validation():
     for n, k in ((0, 3), (-1, 2), (3, 0)):
         with pytest.raises(ValueError):
             scaled_max_load(n, k)
-
-
-def test_max_load_forms_agree():
-    cases = [(n, k) for k in range(2, 6) for n in range(1, 13)]
-    for n, k in cases + [(50, 3), (60, 2), (30, 5)]:
-        assert scaled_max_load(n, k) == scaled_max_load_via_multinomials(n, k)
-
-
-@pytest.mark.parametrize("n, k", [(200, 3), (120, 4), (80, 6), (60, 8), (40, 10), (20, 9)])
-def test_max_load_recursion_equals_partition_sum_over_many_bin_sizes(n, k):
-    # the exact factors are carried through about n/2 bin sizes, and up to
-    # ten bins at the points general-k's benchmark runs
-    assert scaled_max_load(n, k) == scaled_max_load_via_multinomials(n, k)
 
 
 def test_max_load_6_3_uses_seven_partitions():

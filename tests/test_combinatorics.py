@@ -1,7 +1,6 @@
 import itertools
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -14,14 +13,7 @@ from rrshuffle.combinatorics import (
     p_to_epsilon,
     partition_terms,
 )
-from rrshuffle.reference import (
-    krr_histogram_transition,
-    log_multinomial,
-    multinomial,
-    oracle_histogram_transition,
-    partitions,
-    transfer_tables,
-)
+from rrshuffle.reference import multinomial, partitions
 
 # ---------------------------------------------------------------------------
 # Independent oracles
@@ -37,16 +29,6 @@ def pascal_triangle(n_max):
             [1] + [prev[i - 1] + prev[i] for i in range(1, n)] + [1]
         )
     return rows
-
-
-@lru_cache(maxsize=None)
-def count_partitions_atmost(n, k):
-    """Partitions of n into at most k parts, by the standard recurrence."""
-    if n == 0:
-        return 1
-    if k == 0 or n < 0:
-        return 0
-    return count_partitions_atmost(n - k, k) + count_partitions_atmost(n, k - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +68,7 @@ def test_binomial_symmetry(n):
 
 
 # ---------------------------------------------------------------------------
-# multinomial
+# histograms
 # ---------------------------------------------------------------------------
 
 
@@ -97,89 +79,9 @@ def test_enumerate_histograms_is_every_count_vector_in_lexicographic_order():
             assert enumerate_histograms(n, k) == literal, (n, k)
 
 
-def test_multinomial_examples():
-    assert multinomial(3, [2, 1]) == 3
-    assert multinomial(6, [2, 3, 1]) == 60
-    assert multinomial(4, [4, 0, 0]) == 1
-
-
-def test_multinomial_matches_factorials():
-    for parts in itertools.product(range(5), repeat=3):
-        n = sum(parts)
-        expected = math.factorial(n)
-        for p in parts:
-            expected //= math.factorial(p)
-        assert multinomial(n, list(parts)) == expected
-
-
-def test_multinomial_sum_mismatch():
-    with pytest.raises(ValueError, match="sum to n"):
-        multinomial(5, [2, 2])
-    with pytest.raises(ValueError):
-        multinomial(2, [3, -1])
-
-
-def test_multinomials_over_compositions_total_k_to_n():
-    for k in (2, 3, 4):
-        for n in range(0, 8):
-            total = sum(
-                multinomial(n, comp)
-                for comp in itertools.product(range(n + 1), repeat=k)
-                if sum(comp) == n
-            )
-            assert total == k**n
-
-
-def test_log_multinomial_accuracy():
-    for parts in [(3, 3), (10, 5, 5), (500, 300, 200)]:
-        n = sum(parts)
-        exact = math.log(multinomial(n, parts))
-        assert abs(log_multinomial(n, parts) - exact) < 1e-9
-
-
 # ---------------------------------------------------------------------------
-# partitions
+# partition terms
 # ---------------------------------------------------------------------------
-
-
-def test_partitions_6_into_3():
-    got = list(partitions(6, 3))
-    assert got == [
-        (6,), (5, 1), (4, 2), (4, 1, 1), (3, 3), (3, 2, 1), (2, 2, 2),
-    ]
-
-
-def test_partitions_empty_case():
-    assert list(partitions(0, 3)) == [()]
-
-
-def test_partitions_20_into_6_contains_88_1111():
-    match = [p for p in partitions(20, 6) if p == (8, 8, 1, 1, 1, 1)]
-    assert len(match) == 1
-
-
-def test_partitions_count_matches_recurrence():
-    for n in range(0, 31):
-        for k in range(1, 9):
-            assert sum(1 for _ in partitions(n, k)) == count_partitions_atmost(n, k)
-
-
-def test_partitions_order_and_invariants():
-    for n, k in [(9, 4), (12, 3), (7, 7)]:
-        seen = list(partitions(n, k))
-        assert seen == sorted(seen, reverse=True)
-        assert len(set(seen)) == len(seen)
-        for parts in seen:
-            assert sum(parts) == n
-            assert len(parts) <= k
-            assert list(parts) == sorted(parts, reverse=True)
-
-
-def test_partitions_validation():
-    with pytest.raises(ValueError):
-        list(partitions(-1, 3))
-    with pytest.raises(ValueError):
-        list(partitions(3, 0))
 
 
 def test_partition_terms_are_the_two_multinomials_in_partition_order():
@@ -221,67 +123,6 @@ def test_partition_terms_edges_and_validation():
         list(partition_terms(-1, 3))
     with pytest.raises(ValueError):
         list(partition_terms(3, 0))
-
-
-# ---------------------------------------------------------------------------
-# histogram transition probability
-# ---------------------------------------------------------------------------
-
-
-def test_binary_transfer_tables_match_literal_enumeration():
-    # every 2x2 table of counts in lexicographic order of its entries,
-    # filed under its row and column sums
-    for n in range(13):
-        tables = {}
-        for t in itertools.product(range(n + 1), repeat=4):
-            if sum(t) == n:
-                z_in, z_out = (t[0] + t[1], t[2] + t[3]), (t[0] + t[2], t[1] + t[3])
-                ways = multinomial(z_in[0], t[:2]) * multinomial(z_in[1], t[2:])
-                tables.setdefault((z_in, z_out), []).append((ways, t[0] + t[3]))
-        assert len(tables) == (n + 1) ** 2
-        for (z_in, z_out), want in tables.items():
-            assert list(transfer_tables(z_in, z_out)) == want
-
-
-def test_histogram_transition_symbolic_entries():
-    p = Fraction(3, 4)
-    assert krr_histogram_transition((3, 0), (3, 0), p) == p**3
-    assert krr_histogram_transition((2, 1), (3, 0), p) == p**2 * (1 - p)
-    assert krr_histogram_transition((2, 1), (2, 1), p) == Fraction(33, 64)
-    assert float(Fraction(33, 64)) == 0.515625
-
-
-def test_histogram_transition_count_mismatch():
-    with pytest.raises(ValueError, match="count-sum mismatch"):
-        krr_histogram_transition((2, 1), (2, 2), Fraction(3, 4))
-
-
-def test_histogram_transition_rejects_out_of_range_p():
-    with pytest.raises(ValueError):
-        krr_histogram_transition((1, 1), (1, 1), Fraction(1, 4))
-
-
-@pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(3, 5), Fraction(3, 4), Fraction(1)])
-def test_histogram_transition_rows_normalize(p):
-    for n in range(1, 9):
-        for a_in in range(n + 1):
-            total = sum(
-                krr_histogram_transition((a_in, n - a_in), (a_out, n - a_out), p)
-                for a_out in range(n + 1)
-            )
-            assert total == 1
-
-
-@pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(3, 5), Fraction(3, 4), Fraction(1)])
-def test_histogram_transition_matches_enumeration(p):
-    # the transfer-table sum against the sum over every output dataset
-    for n in range(1, 9):
-        for a_in in range(n + 1):
-            x = (0,) * a_in + (1,) * (n - a_in)
-            for a_out in range(n + 1):
-                assert krr_histogram_transition(
-                    (a_in, n - a_in), (a_out, n - a_out), p
-                ) == oracle_histogram_transition(x, (a_out, n - a_out), p)
 
 
 # ---------------------------------------------------------------------------

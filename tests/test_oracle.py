@@ -1,19 +1,12 @@
-import itertools
 from fractions import Fraction
 
 import pytest
 
 import rrshuffle.oracle
-from rrshuffle.channels import CapExceededError, enumerate_histograms
+from rrshuffle.channels import CapExceededError
 from rrshuffle.closed_forms import v_post_ns_general
 from rrshuffle.oracle import ORACLE_CAP, oracle_posterior
-from rrshuffle.reference import (
-    datasets,
-    krr_histogram_transition,
-    literal_krr,
-    literal_shuffle,
-    oracle_histogram_transition,
-)
+from rrshuffle.reference import datasets, literal_krr, literal_shuffle
 
 
 def test_oracle_shuffle_n3():
@@ -119,59 +112,3 @@ def test_oracle_requires_rational_p():
         oracle_posterior(2, 2, ["krr"])
     with pytest.raises(ValueError, match="unknown pipeline stage"):
         oracle_posterior(2, 2, ["laplace"], Fraction(1, 2))
-
-
-def test_oracle_histogram_transition_examples():
-    p = Fraction(3, 4)
-    # three datasets share the (2, 1) histogram; summing their noise
-    # probabilities from aab gives 33/64
-    assert oracle_histogram_transition((0, 0, 1), (2, 1), p) == Fraction(33, 64)
-    assert oracle_histogram_transition((0, 0, 1), (2, 1), Fraction(1)) == 1
-    total = sum(
-        oracle_histogram_transition((0, 0, 1), (a, 3 - a), p) for a in range(4)
-    )
-    assert total == 1
-
-
-def test_oracle_histogram_transition_general_k():
-    p = Fraction(1, 2)
-    x = (0, 1, 2)
-    total = Fraction(0)
-    for z in itertools.product(range(4), repeat=3):
-        if sum(z) != 3:
-            continue
-        total += oracle_histogram_transition(x, z, p)
-    assert total == 1
-
-
-def test_oracle_histogram_transition_validation():
-    with pytest.raises(ValueError, match="sum"):
-        oracle_histogram_transition((0, 1), (1, 2), Fraction(3, 4))
-    with pytest.raises(ValueError, match="rational-only"):
-        oracle_histogram_transition((0, 1), (1, 1), 0.75)
-
-
-@pytest.mark.parametrize("k, max_n", [(3, 4), (4, 3)])
-def test_general_k_histogram_transition_matches_oracle(k, max_n):
-    for p in (Fraction(1, k), Fraction(3, 5), Fraction(1)):
-        for n in range(1, max_n + 1):
-            hists = enumerate_histograms(n, k)
-            for z_in in hists:
-                x = tuple(v for v, count in enumerate(z_in) for _ in range(count))
-                for z_out in hists:
-                    assert krr_histogram_transition(z_in, z_out, p) == (
-                        oracle_histogram_transition(x, z_out, p)
-                    )
-
-
-def test_general_k_histogram_transition_forms_and_modes():
-    exact = krr_histogram_transition((2, 1, 1), (1, 1, 2), Fraction(3, 5))
-    approx = krr_histogram_transition((2, 1, 1), (1, 1, 2), 0.6)
-    assert isinstance(exact, Fraction)
-    assert abs(approx - exact) <= 1e-12
-    with pytest.raises(ValueError, match="count-sum mismatch"):
-        krr_histogram_transition((2, 1, 1), (1, 1, 1), Fraction(3, 5))
-    with pytest.raises(ValueError, match="same length"):
-        krr_histogram_transition((2, 1, 1), (3, 1), Fraction(3, 5))
-    with pytest.raises(ValueError, match="must lie in"):
-        krr_histogram_transition((2, 1, 1), (1, 1, 2), Fraction(1, 4))
